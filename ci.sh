@@ -121,6 +121,13 @@ if ! grep -qF '"coverage":' <<<"$GRADED_JSON"; then
 fi
 rm -f "$TCOV_JOURNAL"
 
+echo "==> paper-table smoke: Table 1 graded through tcov::grade (HLTS_QUICK=1)"
+HLTS_QUICK=1 cargo run --release -q --offline -p hlts-bench --bin table1_ex
+
+echo "==> examples that grade designs: ex_test_synthesis, custom_behavior"
+cargo run --release -q --offline --example ex_test_synthesis
+cargo run --release -q --offline --example custom_behavior
+
 echo "==> warm-start identity sweep: 4 paper benchmarks + 32 generated graphs, --jobs 1 and 4"
 # The acceptance criterion verbatim: --warm-start on reports the same
 # front signature as off, at any worker count and on every source —

@@ -5,8 +5,9 @@
 //! "assumes that a stuck-at fault model is used and ATPG is random
 //! and/or deterministic ... many ATPG's start by using random test
 //! generation to cover as many faults as possible and then switch to
-//! deterministic test generation" (§2) — exactly the two-phase flow
-//! implemented here:
+//! deterministic test generation" (§2). This crate holds the pieces of
+//! that two-phase flow; `hlts-tcov`'s `grade` drives them (random
+//! sequences through the fault simulator, then PODEM on what is left):
 //!
 //! * [`Simulator`] — levelized, 64-pattern-parallel cycle simulation;
 //! * [`FaultUniverse`] — single stuck-at faults on gate outputs and
@@ -16,21 +17,20 @@
 //!   simulation with fault dropping;
 //! * [`Podem`] — deterministic PODEM over a time-frame-expanded model
 //!   (reset state, bounded frames, bounded backtracks);
-//! * [`TestGenerator`] — the two-phase orchestrator producing a
-//!   [`TestReport`] (fault coverage, test-generation effort, applied
-//!   test cycles).
+//! * [`AtpgConfig`] — the flow's knobs (seed, random-sequence budget,
+//!   frames, backtrack limit, target cap, fault sampling).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod config;
 mod faults;
 mod faultsim;
-mod plan;
 mod podem;
 mod sim;
 
+pub use config::AtpgConfig;
 pub use faults::{Fault, FaultSite, FaultUniverse};
 pub use faultsim::{FaultSimulator, GoodTrace, PiAssign};
-pub use plan::{AtpgConfig, TestGenerator, TestReport};
 pub use podem::{Podem, PodemOutcome};
 pub use sim::Simulator;

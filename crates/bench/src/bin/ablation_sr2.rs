@@ -6,11 +6,8 @@
 //! and both ablated ("neither"). Every arm is elaborated and
 //! fault-graded.
 
-use hlts_atpg::TestGenerator;
-use hlts_bench::table_atpg_config;
+use hlts_bench::measure_design;
 use hlts_core::{IntegratedSynthesizer, OrderStrategy, SelectionPolicy, SynthesisParams};
-use hlts_etpn::Etpn;
-use hlts_netlist::elaborate;
 
 fn main() {
     let bits = 8;
@@ -55,11 +52,8 @@ fn main() {
             let r = IntegratedSynthesizer::new(params)
                 .run(&dfg)
                 .expect("synthesis succeeds");
-            let etpn = Etpn::from_parts(&r.dfg, &r.schedule, &r.allocation).expect("lowerable");
-            let nl =
-                elaborate(&r.dfg, &r.schedule, &r.allocation, &etpn, bits).expect("elaborates");
-            let cfg = table_atpg_config(r.schedule.num_steps(), bits);
-            let rep = TestGenerator::new(cfg).run(&nl);
+            let m = measure_design(r, bits).expect("measurement succeeds");
+            let (r, rep) = (&m.result, &m.report);
             println!(
                 "{:<8} {:<14} {:>2} {:>4} {:>4} {:>9.1} {:>8.2}% {:>8.0}",
                 name,

@@ -2,10 +2,7 @@
 //! limitation": EWF, Paulin and Tseng, measured at 8 bit in the same
 //! row format as Tables 1–3.
 
-use hlts_atpg::TestGenerator;
-use hlts_bench::{table_atpg_config, Flow};
-use hlts_etpn::Etpn;
-use hlts_netlist::elaborate;
+use hlts_bench::{measure, Flow};
 
 fn main() {
     let bits = 8;
@@ -20,12 +17,8 @@ fn main() {
         ("tseng", hlts_benchmarks::tseng()),
     ] {
         for flow in Flow::all() {
-            let r = flow.run(&dfg, bits).expect("synthesis succeeds");
-            let etpn = Etpn::from_parts(&r.dfg, &r.schedule, &r.allocation).expect("lowerable");
-            let nl =
-                elaborate(&r.dfg, &r.schedule, &r.allocation, &etpn, bits).expect("elaborates");
-            let cfg = table_atpg_config(r.schedule.num_steps(), bits);
-            let rep = TestGenerator::new(cfg).run(&nl);
+            let m = measure(flow, &dfg, bits).expect("measurement succeeds");
+            let (r, rep) = (&m.result, &m.report);
             println!(
                 "{:<8} {:<11} {:>3} {:>4} {:>4} {:>5} {:>8.2}% {:>9.0} {:>7} {:>8.3}",
                 name,

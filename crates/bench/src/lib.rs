@@ -4,13 +4,16 @@
 //! `src/bin/`) and the Criterion benches: running all four synthesis
 //! flows on a benchmark, elaborating the results to gates and measuring
 //! the paper's columns (fault coverage, test-generation effort, applied
-//! test cycles, area).
+//! test cycles, area). Coverage is graded by `hlts_tcov::grade` with
+//! one worker, the same grader the CLI and the daemon use.
 //!
 //! Binaries (one per table/figure of the paper):
 //!
 //! * `table1_ex`, `table2_dct`, `table3_diffeq` — Tables 1–3;
 //! * `figure2_ex_schedule`, `figure3_schedules` — Figures 2–3;
-//! * `param_sweep` — the paper's (k, α, β) insensitivity claim.
+//! * `param_sweep` — the paper's (k, α, β) insensitivity claim;
+//! * `extra_benchmarks` — EWF, Paulin and Tseng in the tables' format;
+//! * `ablation_sr2` — the SR2-ordering / balance-selection ablation.
 //!
 //! Set `HLTS_QUICK=1` to shrink the fault sample and pattern budget for
 //! a fast smoke run.
@@ -18,11 +21,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hlts_atpg::{AtpgConfig, TestGenerator, TestReport};
-use hlts_core::{baselines, CoreError, IntegratedSynthesizer, SynthesisParams, SynthesisResult};
+use std::time::{Duration, Instant};
+
+use hlts_atpg::AtpgConfig;
+use hlts_core::{
+    baselines, CoreError, IntegratedSynthesizer, RunCtl, SynthesisParams, SynthesisResult,
+};
 use hlts_dfg::Dfg;
 use hlts_etpn::Etpn;
 use hlts_netlist::elaborate;
+use hlts_tcov::{grade, CoverageReport, TcovConfig};
 
 /// The four synthesis flows of the paper's comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,10 +95,11 @@ impl Flow {
 pub struct Measurement {
     /// Synthesis output (schedule, allocation, structural metrics).
     pub result: SynthesisResult,
-    /// ATPG outcome.
-    pub report: TestReport,
-    /// Gate count of the elaborated netlist.
-    pub gates: usize,
+    /// Graded fault coverage, effort and test cycles of the elaborated
+    /// netlist.
+    pub report: CoverageReport,
+    /// Wall-clock time of the grading run (the tables' "TG wall").
+    pub wall: Duration,
 }
 
 /// Whether quick mode is enabled (`HLTS_QUICK=1`).
@@ -125,13 +134,25 @@ pub fn table_atpg_config(steps: usize, bits: u32) -> AtpgConfig {
 ///
 /// # Errors
 ///
-/// Propagates synthesis and elaboration failures.
+/// Propagates synthesis, elaboration and grading failures.
 pub fn measure(
     flow: Flow,
     dfg: &Dfg,
     bits: u32,
 ) -> Result<Measurement, Box<dyn std::error::Error>> {
-    let result = flow.run(dfg, bits)?;
+    measure_design(flow.run(dfg, bits)?, bits)
+}
+
+/// Elaborate a synthesized design to gates at `bits` and grade it with
+/// [`table_atpg_config`], single-threaded.
+///
+/// # Errors
+///
+/// Propagates elaboration and grading failures.
+pub fn measure_design(
+    result: SynthesisResult,
+    bits: u32,
+) -> Result<Measurement, Box<dyn std::error::Error>> {
     let etpn = Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation)?;
     let nl = elaborate(
         &result.dfg,
@@ -140,12 +161,16 @@ pub fn measure(
         &etpn,
         bits,
     )?;
-    let cfg = table_atpg_config(result.schedule.num_steps(), bits);
-    let report = TestGenerator::new(cfg).run(&nl);
+    let cfg = TcovConfig {
+        atpg: table_atpg_config(result.schedule.num_steps(), bits),
+        jobs: 1,
+    };
+    let start = Instant::now();
+    let report = grade(&nl, &cfg, &RunCtl::none())?;
     Ok(Measurement {
-        gates: nl.num_gates(),
         result,
         report,
+        wall: start.elapsed(),
     })
 }
 
@@ -190,7 +215,7 @@ pub fn print_table(title: &str, dfg: &Dfg, with_area: bool) {
                     bits,
                     m.report.coverage(),
                     m.report.effort(),
-                    m.report.wall.as_millis(),
+                    m.wall.as_millis(),
                     m.report.test_cycles,
                     m.result.metrics.hardware.total(),
                 );
@@ -200,7 +225,7 @@ pub fn print_table(title: &str, dfg: &Dfg, with_area: bool) {
                     bits,
                     m.report.coverage(),
                     m.report.effort(),
-                    m.report.wall.as_millis(),
+                    m.wall.as_millis(),
                     m.report.test_cycles,
                 );
             }
@@ -226,7 +251,7 @@ mod tests {
         let dfg = hlts_benchmarks::tseng();
         std::env::set_var("HLTS_QUICK", "1");
         let m = measure(Flow::Ours, &dfg, 4).unwrap();
-        assert!(m.gates > 0);
+        assert!(m.report.gates > 0);
         assert!(m.report.coverage() > 30.0);
         std::env::remove_var("HLTS_QUICK");
     }

@@ -51,6 +51,14 @@ mod armed {
         fired: Vec<&'static str>,
     }
 
+    /// Held by every live [`FaultGuard`]: a second `install` blocks
+    /// until the first guard drops, so tests running in parallel in one
+    /// binary cannot overwrite (or disarm) each other's plan.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn plan() -> MutexGuard<'static, PlanState> {
         static PLAN: OnceLock<Mutex<PlanState>> = OnceLock::new();
         // Fault tests panic on purpose while the lock may be held by a
@@ -84,21 +92,23 @@ mod armed {
             self
         }
 
-        /// Install the plan process-wide, replacing any previous one.
-        /// The returned guard disarms everything when dropped.
+        /// Install the plan process-wide, first waiting for any other
+        /// installed plan's guard to drop. The returned guard disarms
+        /// everything when dropped.
         #[must_use]
         pub fn install(self) -> FaultGuard {
+            let serial = serial();
             let mut state = plan();
             state.armed = self.armed;
             state.fired.clear();
-            FaultGuard { _private: () }
+            FaultGuard { _serial: serial }
         }
     }
 
     /// Keeps a [`FaultPlan`] armed; dropping it disarms all sites.
     #[derive(Debug)]
     pub struct FaultGuard {
-        _private: (),
+        _serial: MutexGuard<'static, ()>,
     }
 
     impl FaultGuard {

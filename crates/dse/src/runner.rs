@@ -41,8 +41,7 @@ use crate::DseError;
 #[derive(Debug, Clone, Default)]
 pub struct ExploreConfig {
     /// Worker threads (`0` and `1` both mean the in-thread sequential
-    /// loop; capped at the number of pending points). Without the
-    /// `parallel` cargo feature any value degrades to sequential.
+    /// loop; capped at the number of pending points).
     pub jobs: usize,
     /// Append each completed point to this checkpoint journal (header
     /// written first when the file is empty or new).
@@ -738,14 +737,8 @@ pub fn explore_ctl(
     })
 }
 
-#[cfg(feature = "parallel")]
 fn effective_workers(jobs: usize, pending: usize) -> usize {
     jobs.clamp(1, pending.max(1))
-}
-
-#[cfg(not(feature = "parallel"))]
-fn effective_workers(_jobs: usize, _pending: usize) -> usize {
-    1
 }
 
 /// Drain `pending` with `workers` scoped threads pulling point indices
@@ -756,7 +749,6 @@ fn effective_workers(_jobs: usize, _pending: usize) -> usize {
 /// injected worker-kill fault terminates one thread after it claimed a
 /// point (the claimed point is marked failed, every later point stays
 /// on the counter for the surviving workers).
-#[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)] // internal: mirrors explore_ctl's locals
 fn run_pool(
     pending: &[&SweepPoint],
@@ -815,23 +807,6 @@ fn run_pool(
     for (point, slot) in pending.iter().zip(out) {
         slots[point.id] = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
     }
-}
-
-#[cfg(not(feature = "parallel"))]
-#[allow(clippy::too_many_arguments)]
-fn run_pool(
-    _pending: &[&SweepPoint],
-    _contexts: &[BenchCtx<'_>],
-    _ctx_index: &[usize],
-    _tcov: Option<TcovSweep>,
-    _warm: Option<&WarmCtx<'_>>,
-    _sink: &Mutex<Sink>,
-    _slots: &mut [Slot],
-    _workers: usize,
-    _ctl: &RunCtl<'_>,
-    _progress: &PointProgress<'_>,
-) {
-    unreachable!("effective_workers is 1 without the `parallel` feature")
 }
 
 fn add_testability(into: &mut TestabilityCacheStats, s: TestabilityCacheStats) {

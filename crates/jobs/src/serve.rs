@@ -11,7 +11,9 @@
 //! its job (typed errors / `PointFailure`), a failing *job* is reported
 //! on its own connection and the engine keeps serving, and a malformed
 //! *request line* is answered with a structured error and counted —
-//! none of these ever terminate a connection or the daemon.
+//! none of these ever terminate a connection or the daemon. That
+//! includes a line longer than [`MAX_LINE`]: the daemon never buffers
+//! more than that per connection, and skips the rest of the line.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -27,6 +29,11 @@ use crate::engine::{
 };
 use crate::json::{self, Json};
 use crate::proto::{self, JobRequest, Request, SourceRef};
+
+/// Longest request line the daemon buffers, in bytes (1 MiB). A longer
+/// line is answered with an error, counted as malformed and skipped up
+/// to its newline.
+pub const MAX_LINE: usize = 1 << 20;
 
 /// Daemon sizing (forwarded into [`EngineConfig`]).
 #[derive(Debug, Clone, Copy)]
@@ -301,6 +308,66 @@ fn handle_line(daemon: &Daemon, line: &str, sink: &Arc<LineSink>) -> LineOutcome
     }
 }
 
+/// Read the next line of `input` into `buf` (without its newline),
+/// buffering at most [`MAX_LINE`] bytes. Returns `Ok(None)` at end of
+/// input, otherwise `Ok(Some(fits))`; `fits` is false when the line was
+/// longer than the bound, and `buf` is then empty (the rest of the line
+/// was read and discarded).
+fn read_bounded_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<bool>> {
+    buf.clear();
+    let mut read_any = false;
+    let mut fits = true;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(read_any.then_some(fits));
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let body = &chunk[..newline.unwrap_or(chunk.len())];
+        if fits && buf.len() + body.len() <= MAX_LINE {
+            buf.extend_from_slice(body);
+        } else {
+            fits = false;
+            buf.clear();
+        }
+        let used = body.len() + usize::from(newline.is_some());
+        input.consume(used);
+        if newline.is_some() {
+            return Ok(Some(fits));
+        }
+    }
+}
+
+/// Answer request lines from `input` until a shutdown request, end of
+/// input, a read error or a line that is not UTF-8. Over-long lines are
+/// answered and counted like any malformed line; the connection stays
+/// open.
+fn serve_requests(daemon: &Daemon, mut input: impl BufRead, sink: &Arc<LineSink>) -> LineOutcome {
+    let mut buf = Vec::new();
+    while let Ok(Some(fits)) = read_bounded_line(&mut input, &mut buf) {
+        if !fits {
+            daemon.malformed.fetch_add(1, Ordering::Relaxed);
+            sink.send(&proto::render_error(
+                None,
+                &format!("request line longer than {MAX_LINE} bytes"),
+            ));
+            continue;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
+        if let LineOutcome::Shutdown = handle_line(daemon, line, sink) {
+            return LineOutcome::Shutdown;
+        }
+    }
+    LineOutcome::Continue
+}
+
 /// Serve requests from a reader/writer pair until a shutdown request
 /// or end of input, then drain the engine (running jobs finish,
 /// queued jobs are cancelled). This is `hlts serve`'s stdin mode —
@@ -308,12 +375,7 @@ fn handle_line(daemon: &Daemon, line: &str, sink: &Arc<LineSink>) -> LineOutcome
 pub fn serve_lines(input: impl BufRead, output: Box<dyn Write + Send>, cfg: ServeConfig) {
     let daemon = Daemon::new(cfg);
     let sink = Arc::new(LineSink::new(output));
-    for line in input.lines() {
-        let Ok(line) = line else { break };
-        if let LineOutcome::Shutdown = handle_line(&daemon, &line, &sink) {
-            break;
-        }
-    }
+    serve_requests(&daemon, input, &sink);
     daemon.engine.shutdown();
 }
 
@@ -322,16 +384,11 @@ fn handle_conn(daemon: &Arc<Daemon>, stream: TcpStream) {
         return;
     };
     let sink = Arc::new(LineSink::new(Box::new(write_half)));
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if let LineOutcome::Shutdown = handle_line(daemon, &line, &sink) {
-            // Unblock the accept loop so the daemon can exit: the
-            // stopping flag is set, one self-connection wakes it.
-            if let Some(addr) = daemon.local_addr.get() {
-                let _ = TcpStream::connect(addr);
-            }
-            break;
+    if let LineOutcome::Shutdown = serve_requests(daemon, BufReader::new(stream), &sink) {
+        // Unblock the accept loop so the daemon can exit: the
+        // stopping flag is set, one self-connection wakes it.
+        if let Some(addr) = daemon.local_addr.get() {
+            let _ = TcpStream::connect(addr);
         }
     }
 }
@@ -436,13 +493,8 @@ mod tests {
         assert_ne!(warm_key(""), warm_key("a"));
     }
 
-    #[test]
-    fn serve_lines_answers_and_shuts_down() {
-        let input = concat!(
-            "not json\n",
-            "{\"op\":\"status\",\"id\":\"s\"}\n",
-            "{\"op\":\"shutdown\"}\n",
-        );
+    /// Run `serve_lines` over `input` and return its output text.
+    fn serve_text(input: &[u8]) -> String {
         let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
         struct Shared(Arc<Mutex<Vec<u8>>>);
         impl Write for Shared {
@@ -455,7 +507,7 @@ mod tests {
             }
         }
         serve_lines(
-            input.as_bytes(),
+            input,
             Box::new(Shared(Arc::clone(&buf))),
             ServeConfig {
                 workers: 1,
@@ -463,11 +515,46 @@ mod tests {
                 warm_capacity: 2,
             },
         );
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let bytes = buf.lock().unwrap().clone();
+        String::from_utf8(bytes).unwrap()
+    }
+
+    #[test]
+    fn serve_lines_answers_and_shuts_down() {
+        let text = serve_text(
+            concat!(
+                "not json\n",
+                "{\"op\":\"status\",\"id\":\"s\"}\n",
+                "{\"op\":\"shutdown\"}\n",
+            )
+            .as_bytes(),
+        );
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "unexpected output: {text}");
         assert!(lines[0].starts_with("{\"ok\": false"));
         assert!(lines[1].contains("\"malformed_requests\": 1"));
         assert!(lines[2].contains("\"shutdown\": true"));
+    }
+
+    #[test]
+    fn serve_lines_rejects_an_over_long_line_and_keeps_reading() {
+        // A line at the bound is an ordinary (malformed) request; one
+        // byte more is rejected unread. Both count as malformed.
+        let mut input = vec![b'x'; MAX_LINE];
+        input.push(b'\n');
+        input.extend(vec![b'{'; MAX_LINE + 1]);
+        input.extend_from_slice(b"\n{\"op\":\"status\",\"id\":\"s\"}\n{\"op\":\"shutdown\"}\n");
+        let text = serve_text(&input);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "unexpected output: {text}");
+        assert!(lines[0].starts_with("{\"ok\": false"));
+        assert!(!lines[0].contains("longer than"));
+        assert_eq!(
+            lines[1],
+            format!("{{\"ok\": false, \"error\": \"request line longer than {MAX_LINE} bytes\"}}")
+        );
+        assert!(lines[2].contains("\"id\": \"s\""));
+        assert!(lines[2].contains("\"malformed_requests\": 2"));
+        assert!(lines[3].contains("\"shutdown\": true"));
     }
 }

@@ -1,6 +1,6 @@
 //! Daemon protocol tests over real TCP sockets: concurrent clients
-//! with bit-identical results, structured malformed-line handling,
-//! and deterministic queue backpressure.
+//! with bit-identical results, structured malformed-line handling
+//! (over-long lines included), and deterministic queue backpressure.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -198,6 +198,37 @@ fn malformed_lines_answer_structured_errors_and_never_kill_the_connection() {
         .and_then(Json::as_str)
         .unwrap();
     hlts_dfg::parse(dfg).unwrap();
+    shutdown(&addr);
+    daemon.join().unwrap();
+}
+
+#[test]
+fn over_long_line_is_rejected_and_the_connection_stays_open() {
+    let (addr, daemon) = spawn_daemon(ServeConfig {
+        workers: 1,
+        queue_capacity: 2,
+        warm_capacity: 2,
+    });
+    let mut c = Client::connect(&addr);
+    // Three bounds' worth of bytes on one line: the daemon must answer
+    // without buffering it, then read on from the next line.
+    c.send(&"x".repeat(3 * hlts_jobs::serve::MAX_LINE));
+    let e = c.recv_response();
+    assert_eq!(e.get("ok"), Some(&Json::Bool(false)));
+    assert!(e
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap()
+        .contains("request line longer than"));
+    c.send(r#"{"op":"status","id":"after"}"#);
+    let s = c.recv_response();
+    assert_eq!(s.get("id").and_then(Json::as_str), Some("after"));
+    assert_eq!(
+        s.get("status")
+            .and_then(|s| s.get("malformed_requests"))
+            .and_then(Json::as_u64),
+        Some(1)
+    );
     shutdown(&addr);
     daemon.join().unwrap();
 }

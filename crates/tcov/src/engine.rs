@@ -59,8 +59,9 @@ impl TargetOutcome {
     }
 }
 
-/// Build the phase-shifted control presets, exactly as the serial
-/// `TestGenerator` does.
+/// Build the phase-shifted control presets: the controller's one-hot
+/// walk over the frames, shifted by up to three phases, so activation
+/// can align with the reset state. Data inputs stay free for PODEM.
 fn control_presets(nl: &Netlist, ctrl_idx: &[usize], frames: usize) -> Vec<Preset> {
     let walk_len = ctrl_idx.len().max(1);
     let preset_with_phase = |phase: usize| -> Preset {
@@ -140,7 +141,6 @@ fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-#[cfg(feature = "parallel")]
 mod workers {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -269,7 +269,6 @@ fn deterministic_phase(
         .collect();
 
     let workers = fsim::effective_workers(cfg.jobs, targets.len());
-    #[cfg(feature = "parallel")]
     if workers > 1 {
         let hints: Vec<std::sync::atomic::AtomicBool> = (0..faults.len())
             .map(|_| std::sync::atomic::AtomicBool::new(false))
@@ -291,7 +290,6 @@ fn deterministic_phase(
             return Err(TcovError::Cancelled);
         }
     }
-    let _ = workers;
 
     // Merge pass: serial, fault-index order, recomputing what no
     // worker delivered. Everything the report sees flows through here.

@@ -1,11 +1,11 @@
 //! Fault-partitioned random-phase fault simulation.
 //!
 //! The random phase's sequencing is split from its per-fault grading:
-//! [`random_sequences`] draws every input sequence up front (consuming
-//! the RNG in exactly the serial `TestGenerator` order), then each
-//! sequence's good-machine trace is recorded once and the pending
-//! fault list is sharded over scoped workers that share the immutable
-//! simulator ([`detect_partition`]). The detected *set* per sequence is
+//! [`random_sequences`] draws every input sequence up front (the only
+//! place the phase consumes the seeded RNG), then each sequence's
+//! good-machine trace is recorded once and the pending fault list is
+//! sharded over scoped workers that share the immutable simulator
+//! ([`detect_partition`]). The detected *set* per sequence is
 //! independent of the sharding, and the pending set before sequence
 //! `s` depends only on sequences `< s` — so the phase's coverage
 //! bitmap, per-fault first-detecting sequence and test-cycle count are
@@ -26,7 +26,7 @@ const CHUNK: usize = 32;
 /// Indices (into the netlist's primary-input list) of the control
 /// inputs, protocol-ordered: the setup state (`ctrl_final`) first,
 /// then the step states in elaboration order — one controller walk per
-/// one-hot rotation. Mirrors the serial `TestGenerator` exactly.
+/// one-hot rotation.
 #[must_use]
 pub fn control_inputs(nl: &Netlist) -> Vec<usize> {
     let mut ctrl_idx: Vec<usize> = nl
@@ -47,11 +47,10 @@ pub fn control_inputs(nl: &Netlist) -> Vec<usize> {
 }
 
 /// Draw every random-phase input sequence up front, consuming the
-/// seeded RNG in the exact element order the serial `TestGenerator`
-/// uses (per cycle, per input). Because the serial path touches the
-/// RNG *only* while building sequences, pre-drawing them here keeps
-/// the streams identical — which is what lets the per-fault grading
-/// underneath parallelize freely.
+/// seeded RNG per sequence, per cycle, per input. The RNG is touched
+/// *only* here, so the sequences are a function of (netlist, config)
+/// alone — which is what lets the per-fault grading underneath
+/// parallelize freely.
 #[must_use]
 pub fn random_sequences(nl: &Netlist, cfg: &AtpgConfig, ctrl_idx: &[usize]) -> Vec<Vec<PiAssign>> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -86,14 +85,8 @@ pub fn random_sequences(nl: &Netlist, cfg: &AtpgConfig, ctrl_idx: &[usize]) -> V
 
 /// Workers the fault-partitioned loops actually use: never more than
 /// the pending work, never less than one.
-#[cfg(feature = "parallel")]
 pub(crate) fn effective_workers(jobs: usize, pending: usize) -> usize {
     jobs.clamp(1, pending.max(1))
-}
-
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn effective_workers(_jobs: usize, _pending: usize) -> usize {
-    1
 }
 
 /// Grade `pending` (indices into `faults`) against one recorded
@@ -127,15 +120,9 @@ pub fn detect_partition(
         }
         return Ok(hits);
     }
-    #[cfg(feature = "parallel")]
-    {
-        parallel::detect(fs, trace, seq, faults, pending, workers, cancel)
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("effective_workers returns 1 without the parallel feature")
+    parallel::detect(fs, trace, seq, faults, pending, workers, cancel)
 }
 
-#[cfg(feature = "parallel")]
 mod parallel {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -240,8 +227,8 @@ pub struct RandomPhase {
 
 /// Run the random phase: simulate every sequence's good machine once,
 /// shard the pending fault list per sequence, and keep a sequence's
-/// cycles only when it detected something — the serial `TestGenerator`
-/// accounting, bit-identically, at any `jobs` count.
+/// cycles only when it detected something — bit-identical to the
+/// serial-fault `FaultSimulator::run` loop at any `jobs` count.
 ///
 /// # Errors
 ///

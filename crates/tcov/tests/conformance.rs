@@ -3,9 +3,11 @@
 //! `FaultSimulator::run` loop) and to themselves at any worker count.
 //! The full matrix over the paper benchmarks and 32 generated graphs
 //! runs as the `#[ignore]`d release tier in the workspace root's
-//! `tests/tcov_conformance.rs`.
+//! `tests/tcov_conformance.rs`. A hand-built 2-bit accumulator, small
+//! enough for PODEM to find tests, checks the two-phase flow end to end
+//! through `grade`.
 
-use hlts_atpg::{AtpgConfig, FaultSimulator, FaultUniverse, TestGenerator};
+use hlts_atpg::{AtpgConfig, FaultSimulator, FaultUniverse};
 use hlts_core::{CancelToken, IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts_etpn::Etpn;
 use hlts_netlist::{elaborate, Netlist};
@@ -127,11 +129,11 @@ fn grade_is_bit_identical_across_worker_counts() {
     assert!(serial.total_uncollapsed > serial.total_collapsed);
 }
 
-/// With the deterministic phase disabled, tcov's report must agree
-/// with the serial `TestGenerator` on the random-phase accounting —
-/// the oracle tie-in at the report level.
+/// With the deterministic phase disabled, `grade`'s report must agree
+/// with the serial-fault oracle on the random-phase accounting — the
+/// oracle tie-in at the report level.
 #[test]
-fn random_only_grade_matches_testgenerator() {
+fn random_only_grade_matches_serial_oracle() {
     let nl = elaborated("paulin", 4);
     let atpg = AtpgConfig {
         max_deterministic_targets: 0,
@@ -146,12 +148,104 @@ fn random_only_grade_matches_testgenerator() {
         &RunCtl::none(),
     )
     .expect("grades");
-    let oracle = TestGenerator::new(atpg).run(&nl);
-    assert_eq!(report.detected_random, oracle.detected_random);
-    assert_eq!(report.test_cycles, oracle.test_cycles);
-    assert_eq!(report.faults_graded, oracle.total_faults);
+    let universe = FaultUniverse::collapsed(&nl).sampled(300, atpg.seed);
+    let (_, _, oracle_rand, oracle_cycles) = serial_oracle(&nl, &atpg, universe.faults());
+    assert_eq!(report.detected_random, oracle_rand);
+    assert_eq!(report.test_cycles, oracle_cycles);
+    assert_eq!(report.faults_graded, universe.len());
     assert_eq!(report.detected_deterministic, 0);
     assert_eq!(report.backtracks, 0);
+}
+
+/// A 2-bit accumulator (`r.next = r + a`, both bits observed): small
+/// enough that PODEM finds tests, unlike the elaborated paper designs.
+fn accumulator() -> Netlist {
+    use hlts_netlist::GateKind;
+    let mut nl = Netlist::new();
+    let a0 = nl.input("a[0]");
+    let a1 = nl.input("a[1]");
+    let q0 = nl.dff("r[0]");
+    let q1 = nl.dff("r[1]");
+    let s0 = nl.gate(GateKind::Xor, &[q0, a0]);
+    let c0 = nl.gate(GateKind::And, &[q0, a0]);
+    let t1 = nl.gate(GateKind::Xor, &[q1, a1]);
+    let s1 = nl.gate(GateKind::Xor, &[t1, c0]);
+    nl.connect_dff(q0, s0);
+    nl.connect_dff(q1, s1);
+    nl.output("r[0]", q0);
+    nl.output("r[1]", q1);
+    nl
+}
+
+fn grade_serial(nl: &Netlist, atpg: AtpgConfig) -> hlts_tcov::CoverageReport {
+    grade(nl, &TcovConfig { atpg, jobs: 1 }, &RunCtl::none()).expect("grades")
+}
+
+#[test]
+fn two_phase_grade_reports_consistent_numbers() {
+    let r = grade_serial(
+        &accumulator(),
+        AtpgConfig {
+            random_sequences: 8,
+            sequence_cycles: 6,
+            ..AtpgConfig::default()
+        },
+    );
+    assert!(r.faults_graded > 0);
+    assert!(r.coverage() > 50.0, "coverage {:.1}", r.coverage());
+    assert!(r.coverage() <= 100.0);
+    assert!(r.efficiency() >= r.coverage());
+    assert!(
+        r.detected_random + r.detected_deterministic + r.untestable + r.aborted <= r.faults_graded
+    );
+    assert!(r.test_cycles > 0);
+}
+
+#[test]
+fn deterministic_phase_detects_without_random_phase() {
+    // starve the random phase so PODEM has every fault as a target
+    let r = grade_serial(
+        &accumulator(),
+        AtpgConfig {
+            random_sequences: 0,
+            ..AtpgConfig::default()
+        },
+    );
+    assert_eq!(r.detected_random, 0);
+    assert!(
+        r.detected_deterministic > 0,
+        "PODEM should detect something: {}",
+        r.signature()
+    );
+    assert!(r.test_cycles > 0);
+}
+
+#[test]
+fn grading_is_deterministic_for_a_seed() {
+    let nl = accumulator();
+    let cfg = AtpgConfig {
+        random_sequences: 4,
+        sequence_cycles: 4,
+        ..AtpgConfig::default()
+    };
+    let a = grade_serial(&nl, cfg.clone());
+    let b = grade_serial(&nl, cfg);
+    assert_eq!(a.signature(), b.signature());
+}
+
+#[test]
+fn sampling_caps_graded_fault_count() {
+    let r = grade_serial(
+        &accumulator(),
+        AtpgConfig {
+            fault_sample: Some(5),
+            random_sequences: 2,
+            sequence_cycles: 4,
+            ..AtpgConfig::default()
+        },
+    );
+    assert_eq!(r.faults_graded, 5);
+    assert!(r.total_collapsed > 5);
 }
 
 #[test]

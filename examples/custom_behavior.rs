@@ -4,10 +4,11 @@
 //!
 //! Run with `cargo run --release --example custom_behavior`.
 
-use hlts::atpg::{AtpgConfig, TestGenerator};
-use hlts::core::{IntegratedSynthesizer, SynthesisParams};
+use hlts::atpg::AtpgConfig;
+use hlts::core::{IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts::etpn::Etpn;
 use hlts::netlist::elaborate;
+use hlts::tcov::{grade, TcovConfig};
 
 const BEHAVIOR: &str = "
 dfg fir4 {
@@ -40,22 +41,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         nl.dffs().len()
     );
 
-    let cfg = AtpgConfig {
-        sequence_cycles: (result.schedule.num_steps() + 1) * 2,
-        random_sequences: 10,
-        frames: result.schedule.num_steps() + 3,
-        fault_sample: Some(800),
-        max_deterministic_targets: 40,
-        ..AtpgConfig::default()
+    let cfg = TcovConfig {
+        atpg: AtpgConfig {
+            sequence_cycles: (result.schedule.num_steps() + 1) * 2,
+            random_sequences: 10,
+            frames: result.schedule.num_steps() + 3,
+            fault_sample: Some(800),
+            max_deterministic_targets: 40,
+            ..AtpgConfig::default()
+        },
+        jobs: 1,
     };
-    let report = TestGenerator::new(cfg).run(&nl);
+    let report = grade(&nl, &cfg, &RunCtl::none())?;
     println!(
         "fault coverage {:.2}% ({} random + {} deterministic of {} faults), \
          {} test cycles, effort {:.0}",
         report.coverage(),
         report.detected_random,
         report.detected_deterministic,
-        report.total_faults,
+        report.faults_graded,
         report.test_cycles,
         report.effort(),
     );

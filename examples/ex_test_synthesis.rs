@@ -5,10 +5,11 @@
 //! Run with `cargo run --release --example ex_test_synthesis`
 //! (release strongly recommended — fault simulation is hot).
 
-use hlts::atpg::{AtpgConfig, TestGenerator};
-use hlts::core::{baselines, IntegratedSynthesizer, SynthesisParams};
+use hlts::atpg::AtpgConfig;
+use hlts::core::{baselines, IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts::etpn::Etpn;
 use hlts::netlist::elaborate;
+use hlts::tcov::{grade, TcovConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bits = 8;
@@ -34,15 +35,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, r) in flows {
         let etpn = Etpn::from_parts(&r.dfg, &r.schedule, &r.allocation)?;
         let nl = elaborate(&r.dfg, &r.schedule, &r.allocation, &etpn, bits)?;
-        let cfg = AtpgConfig {
-            sequence_cycles: (r.schedule.num_steps() + 1) * 2,
-            random_sequences: 12,
-            frames: r.schedule.num_steps() + 3,
-            fault_sample: Some(1000),
-            max_deterministic_targets: 50,
-            ..AtpgConfig::default()
+        let cfg = TcovConfig {
+            atpg: AtpgConfig {
+                sequence_cycles: (r.schedule.num_steps() + 1) * 2,
+                random_sequences: 12,
+                frames: r.schedule.num_steps() + 3,
+                fault_sample: Some(1000),
+                max_deterministic_targets: 50,
+                ..AtpgConfig::default()
+            },
+            jobs: 1,
         };
-        let rep = TestGenerator::new(cfg).run(&nl);
+        let rep = grade(&nl, &cfg, &RunCtl::none())?;
         println!(
             "{:<11} {:>3} {:>4} {:>4} {:>5} {:>7} {:>8.2}% {:>9.0} {:>7}",
             name,
