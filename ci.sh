@@ -16,6 +16,13 @@ cargo test -q --workspace --offline
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> benchmark harness: perfbench builds and its unit tests pass"
+# perfbench is its own cargo workspace (see perfbench/Cargo.toml), so
+# the workspace steps above never compile it; an API change in the
+# library crates would otherwise break the benchmark silently.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fault-injection suites (test-faults feature)"
 cargo test -q -p hlts-core --features test-faults --offline
 cargo test -q -p hlts-dse --features test-faults --offline
@@ -25,7 +32,7 @@ cargo test -q -p hlts-tcov --features test-faults --offline
 echo "==> conformance harness meta-test (broken engine must be caught)"
 cargo test -q -p hlts-gen --features test-faults --offline
 
-echo "==> conformance smoke: 32 generated graphs x 5 engine pairs (release)"
+echo "==> conformance smoke: 32 generated graphs x 4 engine pairs (release)"
 cargo test -q --release --offline --test conformance -- --ignored conformance_ci_smoke
 
 echo "==> conformance full sweep: 128 generated graphs (release)"

@@ -48,7 +48,6 @@ fn run_spec(name: &str, dfg: &hlts_dfg::Dfg, warm: Option<u64>) -> JobSpec {
         dfg: dfg.clone(),
         flow: Flow::Ours,
         params: SynthesisParams::paper_defaults(8),
-        // The daemon's per-job mode: pool-level parallelism only.
         mode: EvalMode::Sequential,
         warm,
         atpg: None,

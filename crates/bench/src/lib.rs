@@ -24,9 +24,7 @@
 use std::time::{Duration, Instant};
 
 use hlts_atpg::AtpgConfig;
-use hlts_core::{
-    baselines, CoreError, IntegratedSynthesizer, RunCtl, SynthesisParams, SynthesisResult,
-};
+use hlts_core::{baselines, CoreError, IntegratedSynthesizer, RunCtl, SynthesisResult};
 use hlts_dfg::Dfg;
 use hlts_etpn::Etpn;
 use hlts_netlist::elaborate;
@@ -63,26 +61,29 @@ impl Flow {
         }
     }
 
-    /// Run the flow on `dfg` at the given bit width (the width selects
-    /// the paper's (k, α, β) parameter set for "Ours").
+    /// The same flow as the CLI and the daemon name it.
+    fn dse_flow(self) -> hlts_dse::Flow {
+        match self {
+            Flow::Camad => hlts_dse::Flow::Camad,
+            Flow::Approach1 => hlts_dse::Flow::Approach1,
+            Flow::Approach2 => hlts_dse::Flow::Approach2,
+            Flow::Ours => hlts_dse::Flow::Ours,
+        }
+    }
+
+    /// Run the flow on `dfg` at the given bit width, with the
+    /// parameters of [`hlts_dse::Flow::paper_defaults`] (the width
+    /// selects the paper's (k, α, β) parameter set; CAMAD runs its
+    /// area-optimized weights).
     ///
     /// # Errors
     ///
     /// Propagates synthesis failures (none occur on the shipped
     /// benchmarks).
     pub fn run(self, dfg: &Dfg, bits: u32) -> Result<SynthesisResult, CoreError> {
-        let p = SynthesisParams::paper_defaults(bits);
+        let p = self.dse_flow().paper_defaults(bits);
         match self {
-            Flow::Camad => {
-                // area-optimized configuration, as the paper's
-                // "area-optimized benchmark" rows
-                let camad_p = SynthesisParams {
-                    alpha: 0.1,
-                    beta: 10.0,
-                    ..p
-                };
-                baselines::camad(dfg, &camad_p)
-            }
+            Flow::Camad => baselines::camad(dfg, &p),
             Flow::Approach1 => baselines::approach1(dfg, &p),
             Flow::Approach2 => baselines::approach2(dfg, &p),
             Flow::Ours => IntegratedSynthesizer::new(p).run(dfg),

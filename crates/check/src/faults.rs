@@ -28,6 +28,9 @@ pub mod sites {
     /// A job-engine worker thread dies right after claiming a job from
     /// the queue (the job is reported failed; the thread is gone).
     pub const JOBS_WORKER_KILL: &str = "jobs::worker::kill";
+    /// The TCP daemon's `accept` fails once more (the accepted
+    /// connection is dropped, as if EMFILE had refused it).
+    pub const JOBS_ACCEPT_FAIL: &str = "jobs::accept::fail";
     /// A tcov grading worker dies before claiming its next fault
     /// partition / PODEM target (the merge pass recomputes what the
     /// dead worker never delivered, so the report stays correct).

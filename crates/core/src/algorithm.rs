@@ -13,25 +13,20 @@ use crate::trace::{MergeTrace, ReplayStats, TraceEntry, TraceMergeKind, TraceWin
 use crate::txn::{trial_merge, StateTxn};
 use crate::{CoreError, DesignState, ProgressEvent, RunCtl, SynthesisResult};
 
-/// How the *k* shortlisted candidates of each iteration are evaluated.
+/// A retired choice of candidate evaluator, accepted and ignored.
 ///
-/// Both modes produce **bit-identical** results: each candidate trial
-/// is applied and rolled back through the transaction journal (in
-/// sequential mode in place on the base state, in parallel mode on a
-/// per-thread [`DesignState::fork`]), every trial therefore prices the
-/// identical post-merge design, and the winner is reduced by
-/// (ΔC, shortlist index) — exactly the sequential first-strictly-smaller
-/// rule. The parallel mode merely computes the trials on scoped threads
-/// sharing one [`DeltaEvaluator`].
+/// Every mode evaluates the *k* shortlisted candidates one at a time
+/// on the calling thread, in place on the base state. The names remain
+/// only until the benchmark harness drops its uses of them; they are
+/// read by [`run_on`](IntegratedSynthesizer::run_on),
+/// [`run_on_ctl`](IntegratedSynthesizer::run_on_ctl) and the job
+/// engine's run spec, and change nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// Evaluate candidates one at a time on the calling thread.
-    #[cfg_attr(not(feature = "parallel"), default)]
+    /// Evaluate candidates on the calling thread.
+    #[default]
     Sequential,
-    /// Evaluate each shortlist chunk's candidates on scoped threads.
-    /// Without the `parallel` cargo feature this mode still exists but
-    /// behaves exactly like [`EvalMode::Sequential`].
-    #[cfg_attr(feature = "parallel", default)]
+    /// Same as [`EvalMode::Sequential`].
     Parallel,
 }
 
@@ -192,35 +187,11 @@ impl IntegratedSynthesizer {
     /// Only construction-level failures (cyclic input graph, inconsistent
     /// state) are errors; rejected mergers are part of normal operation.
     pub fn run(&self, dfg: &Dfg) -> Result<SynthesisResult, CoreError> {
-        self.run_mode(dfg, EvalMode::default())
-    }
-
-    /// Run Algorithm 1 with an explicit candidate-evaluation mode (see
-    /// [`EvalMode`]; results are bit-identical across modes).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](IntegratedSynthesizer::run).
-    pub fn run_mode(&self, dfg: &Dfg, mode: EvalMode) -> Result<SynthesisResult, CoreError> {
-        self.run_mode_with(dfg, mode, &DeltaEvaluator::new())
-    }
-
-    /// Run Algorithm 1 with an explicit mode and a caller-owned
-    /// [`DeltaEvaluator`], whose cache statistics can be inspected
-    /// afterwards. The evaluator must not have been used with a
-    /// different graph, bit width or library (its cache is keyed on
-    /// (schedule, binding) only).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](IntegratedSynthesizer::run).
-    pub fn run_mode_with(
-        &self,
-        dfg: &Dfg,
-        mode: EvalMode,
-        evaluator: &DeltaEvaluator,
-    ) -> Result<SynthesisResult, CoreError> {
-        self.run_on(&DesignState::initial(dfg)?, mode, evaluator)
+        self.run_on(
+            &DesignState::initial(dfg)?,
+            EvalMode::Sequential,
+            &DeltaEvaluator::new(),
+        )
     }
 
     /// Run Algorithm 1 starting from a caller-owned base state, which is
@@ -237,16 +208,18 @@ impl IntegratedSynthesizer {
     /// only steers *how* misses are computed — so concurrent runs on
     /// forks of one base are bit-identical to isolated runs.
     ///
+    /// `_mode` is ignored (see [`EvalMode`]).
+    ///
     /// # Errors
     ///
     /// As [`run`](IntegratedSynthesizer::run).
     pub fn run_on(
         &self,
         base: &DesignState,
-        mode: EvalMode,
+        _mode: EvalMode,
         evaluator: &DeltaEvaluator,
     ) -> Result<SynthesisResult, CoreError> {
-        self.run_on_ctl(base, mode, evaluator, &RunCtl::none())
+        self.run_on_ctl(base, EvalMode::Sequential, evaluator, &RunCtl::none())
     }
 
     /// [`run_on`](Self::run_on) under an external [`RunCtl`]: the
@@ -257,6 +230,7 @@ impl IntegratedSynthesizer {
     /// run **bit-identical** to [`run_on`](Self::run_on) (the check is
     /// one relaxed atomic load; nothing else differs). One
     /// [`ProgressEvent::Iteration`] streams to the sink per iteration.
+    /// `_mode` is ignored (see [`EvalMode`]).
     ///
     /// # Errors
     ///
@@ -265,7 +239,7 @@ impl IntegratedSynthesizer {
     pub fn run_on_ctl(
         &self,
         base: &DesignState,
-        mode: EvalMode,
+        _mode: EvalMode,
         evaluator: &DeltaEvaluator,
         ctl: &RunCtl<'_>,
     ) -> Result<SynthesisResult, CoreError> {
@@ -307,7 +281,7 @@ impl IntegratedSynthesizer {
 
             let mut committed = false;
             for chunk in candidates.chunks(self.params.k.max(1)) {
-                if let Some((dc, kind)) = self.best_in_chunk(&mut state, chunk, e0, h0, mode, evaluator) {
+                if let Some((dc, kind)) = self.best_in_chunk(&mut state, chunk, e0, h0, evaluator) {
                     if dc <= self.params.accept_threshold {
                         // Re-apply the winning trial and commit it. The
                         // merge machinery is deterministic, so this
@@ -363,7 +337,6 @@ impl IntegratedSynthesizer {
     pub fn run_on_warm(
         &self,
         base: &DesignState,
-        mode: EvalMode,
         evaluator: &DeltaEvaluator,
         ctl: &RunCtl<'_>,
         seed: Option<&MergeTrace>,
@@ -442,7 +415,7 @@ impl IntegratedSynthesizer {
             let mut committed = false;
             let mut prices: Vec<Option<(f64, f64)>> = Vec::new();
             for (ci, chunk) in candidates.chunks(k).enumerate() {
-                let parts = self.eval_chunk_parts(&mut state, chunk, e0, h0, mode, evaluator);
+                let parts = self.eval_chunk_parts(&mut state, chunk, e0, h0, evaluator);
                 let best = self.reduce_chunk(&parts);
                 prices.extend(parts);
                 if let Some((dc, local)) = best {
@@ -592,29 +565,22 @@ impl IntegratedSynthesizer {
     /// Tentatively apply each candidate of `chunk` (apply → price →
     /// rollback; `state` is bit-identical on return); return the
     /// smallest-ΔC applicable merge (ties keep the earliest shortlist
-    /// position, in both modes).
+    /// position).
     fn best_in_chunk(
         &self,
         state: &mut DesignState,
         chunk: &[MergeCandidate],
         e0: f64,
         h0: f64,
-        mode: EvalMode,
         evaluator: &DeltaEvaluator,
     ) -> Option<(f64, MergeKind)> {
-        let evaluated: Vec<Option<f64>> = match mode {
-            EvalMode::Sequential => chunk
-                .iter()
-                .map(|cand| self.eval_candidate(state, cand, e0, h0, evaluator))
-                .collect(),
-            EvalMode::Parallel => self.eval_chunk_parallel(state, chunk, e0, h0, evaluator),
-        };
-        // Deterministic reduction: strictly-smaller ΔC wins, so the
-        // earliest shortlist index is kept on ties — exactly the
-        // sequential fold regardless of evaluation order.
+        // Strictly-smaller ΔC wins, so the earliest shortlist index is
+        // kept on ties.
         let mut best: Option<(f64, MergeKind)> = None;
-        for (entry, cand) in evaluated.into_iter().zip(chunk) {
-            let Some(dc) = entry else { continue };
+        for cand in chunk {
+            let Some(dc) = self.eval_candidate(state, cand, e0, h0, evaluator) else {
+                continue;
+            };
             // total_cmp: a NaN price (impossible with validated params,
             // defensive against a degenerate library) sorts above every
             // real ΔC instead of vacuously losing every comparison.
@@ -685,132 +651,10 @@ impl IntegratedSynthesizer {
         })
     }
 
-    /// Evaluate a shortlist chunk on scoped threads (one per candidate;
-    /// `k` is small). Each thread runs its transaction on a private
-    /// [`DesignState::fork`] of the base state — a cheap copy sharing
-    /// the graph core, testability engine and counters — so the in-place
-    /// trials never contend. Results come back in shortlist order, so
-    /// the reduction in [`best_in_chunk`](Self::best_in_chunk) is
-    /// unaffected by thread completion order.
-    #[cfg(feature = "parallel")]
-    fn eval_chunk_parallel(
-        &self,
-        state: &mut DesignState,
-        chunk: &[MergeCandidate],
-        e0: f64,
-        h0: f64,
-        evaluator: &DeltaEvaluator,
-    ) -> Vec<Option<f64>> {
-        if chunk.len() < 2 {
-            return chunk
-                .iter()
-                .map(|cand| self.eval_candidate(state, cand, e0, h0, evaluator))
-                .collect();
-        }
-        let base = &*state;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|cand| {
-                    scope.spawn(move || {
-                        let mut local = base.fork();
-                        self.eval_candidate(&mut local, cand, e0, h0, evaluator)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(dc) => dc,
-                    // Propagate the worker's panic payload on the
-                    // calling thread: identical observable behavior to
-                    // the sequential path, without asserting it can't
-                    // happen.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    }
-
-    /// Sequential stand-in when the `parallel` feature is disabled.
-    #[cfg(not(feature = "parallel"))]
-    fn eval_chunk_parallel(
-        &self,
-        state: &mut DesignState,
-        chunk: &[MergeCandidate],
-        e0: f64,
-        h0: f64,
-        evaluator: &DeltaEvaluator,
-    ) -> Vec<Option<f64>> {
-        chunk
-            .iter()
-            .map(|cand| self.eval_candidate(state, cand, e0, h0, evaluator))
-            .collect()
-    }
-
     /// Chunk evaluation for the capture path: the `(ΔE, ΔH)` twin of
-    /// the scalar chunk evaluators, honoring `mode` with the same
-    /// scoped-thread strategy (results in shortlist order either way).
+    /// [`best_in_chunk`](Self::best_in_chunk)'s trials, in shortlist
+    /// order.
     fn eval_chunk_parts(
-        &self,
-        state: &mut DesignState,
-        chunk: &[MergeCandidate],
-        e0: f64,
-        h0: f64,
-        mode: EvalMode,
-        evaluator: &DeltaEvaluator,
-    ) -> Vec<Option<(f64, f64)>> {
-        match mode {
-            EvalMode::Sequential => chunk
-                .iter()
-                .map(|cand| self.eval_candidate_parts(state, cand, e0, h0, evaluator))
-                .collect(),
-            EvalMode::Parallel => self.eval_chunk_parts_parallel(state, chunk, e0, h0, evaluator),
-        }
-    }
-
-    /// Scoped-thread `(ΔE, ΔH)` chunk evaluation (see
-    /// [`eval_chunk_parallel`](Self::eval_chunk_parallel) for the
-    /// forking/ordering contract).
-    #[cfg(feature = "parallel")]
-    fn eval_chunk_parts_parallel(
-        &self,
-        state: &mut DesignState,
-        chunk: &[MergeCandidate],
-        e0: f64,
-        h0: f64,
-        evaluator: &DeltaEvaluator,
-    ) -> Vec<Option<(f64, f64)>> {
-        if chunk.len() < 2 {
-            return chunk
-                .iter()
-                .map(|cand| self.eval_candidate_parts(state, cand, e0, h0, evaluator))
-                .collect();
-        }
-        let base = &*state;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|cand| {
-                    scope.spawn(move || {
-                        let mut local = base.fork();
-                        self.eval_candidate_parts(&mut local, cand, e0, h0, evaluator)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(parts) => parts,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    }
-
-    /// Sequential stand-in when the `parallel` feature is disabled.
-    #[cfg(not(feature = "parallel"))]
-    fn eval_chunk_parts_parallel(
         &self,
         state: &mut DesignState,
         chunk: &[MergeCandidate],
@@ -1044,7 +888,7 @@ mod tests {
             .run_on_ctl(&base, EvalMode::Sequential, &ev, &RunCtl::none())
             .unwrap();
         let warm = synth
-            .run_on_warm(&base, EvalMode::Sequential, &ev, &RunCtl::none(), None)
+            .run_on_warm(&base, &ev, &RunCtl::none(), None)
             .unwrap();
         assert_eq!(warm.result.schedule, cold.schedule);
         assert_eq!(warm.result.allocation, cold.allocation);
@@ -1063,16 +907,10 @@ mod tests {
         let base = DesignState::initial(&d).unwrap();
         let ev = DeltaEvaluator::new();
         let first = synth
-            .run_on_warm(&base, EvalMode::Sequential, &ev, &RunCtl::none(), None)
+            .run_on_warm(&base, &ev, &RunCtl::none(), None)
             .unwrap();
         let again = synth
-            .run_on_warm(
-                &base,
-                EvalMode::Sequential,
-                &ev,
-                &RunCtl::none(),
-                Some(&first.trace),
-            )
+            .run_on_warm(&base, &ev, &RunCtl::none(), Some(&first.trace))
             .unwrap();
         assert_eq!(again.result.schedule, first.result.schedule);
         assert_eq!(again.result.allocation, first.result.allocation);
@@ -1088,7 +926,7 @@ mod tests {
         let base = DesignState::initial(&d).unwrap();
         let ev = DeltaEvaluator::new();
         let seed = IntegratedSynthesizer::new(SynthesisParams::default())
-            .run_on_warm(&base, EvalMode::Sequential, &ev, &RunCtl::none(), None)
+            .run_on_warm(&base, &ev, &RunCtl::none(), None)
             .unwrap();
         // A grid of neighbours, including weights that walk a different
         // trajectory: warm output must equal the cold loop on every one.
@@ -1110,13 +948,7 @@ mod tests {
                 .run_on_ctl(&base, EvalMode::Sequential, &ev, &RunCtl::none())
                 .unwrap();
             let warm = synth
-                .run_on_warm(
-                    &base,
-                    EvalMode::Sequential,
-                    &ev,
-                    &RunCtl::none(),
-                    Some(&seed.trace),
-                )
+                .run_on_warm(&base, &ev, &RunCtl::none(), Some(&seed.trace))
                 .unwrap();
             assert_eq!(
                 warm.result.schedule, cold.schedule,

@@ -20,8 +20,10 @@
 //! again, and entries stay valid because the data-flow content they
 //! were computed from is immutable within a run.
 //!
-//! The evaluator is `Sync` — the `parallel` feature evaluates the *k*
-//! shortlisted candidates on scoped threads sharing one evaluator.
+//! The evaluator is `Sync`: a synthesis run prices its *k* shortlisted
+//! candidates one at a time on its own thread, but design-space and
+//! daemon workers run many points concurrently against one shared
+//! evaluator per behavior.
 //!
 //! The testability side of candidate evaluation has a twin of this
 //! design: the [`TestabilityEngine`](hlts_testability::TestabilityEngine)
@@ -95,8 +97,8 @@ impl DeltaEvaluator {
     /// # Errors
     ///
     /// Propagates lowering failures (inconsistent state). A poisoned
-    /// cache mutex (a panic in another evaluation thread) is recovered
-    /// rather than cascaded: every entry is an insert-only memo of a
+    /// cache mutex (a panic in another worker sharing the evaluator) is
+    /// recovered rather than cascaded: every entry is an insert-only memo of a
     /// pure function, so the map is valid at any interruption point.
     pub fn eval(
         &self,

@@ -82,7 +82,7 @@ pub struct SynthesisResult {
     /// Human-readable record of each committed merger.
     pub merge_log: Vec<String>,
     /// How the run's shared testability engine resolved its queries.
-    /// Diagnostics only: under parallel evaluation two threads can race
+    /// Diagnostics only: design-space workers sharing one engine can race
     /// to the same cache miss, so these counters (unlike every synthesis
     /// outcome) are not deterministic — which is why they are excluded
     /// from equality.

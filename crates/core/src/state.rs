@@ -17,10 +17,11 @@ use crate::CoreError;
 ///
 /// Trial mergers edit the state **in place** through a [`StateTxn`]
 /// (see [`DesignState::begin`]) and roll back via its undo journal;
-/// nothing on the candidate hot path clones the state. The parallel
-/// shortlist threads each take a [`DesignState::fork`] — a cheap copy
-/// whose graph shares the immutable [`Dfg`] core via [`Arc`] and which
-/// shares the run's [`TestabilityEngine`] and transaction counters.
+/// nothing on the candidate hot path clones the state. Each run takes a
+/// [`DesignState::fork`] of its base — a cheap copy whose graph shares
+/// the immutable [`Dfg`] core via [`Arc`] and which shares the base's
+/// [`TestabilityEngine`] and transaction counters — so concurrent
+/// design-space runs on one base pool their work.
 #[derive(Debug, Clone)]
 pub struct DesignState {
     /// The behavioral graph, including accumulated scheduling-constraint
@@ -65,8 +66,8 @@ impl DesignState {
     }
 
     /// The shared testability-analysis engine. All forks of a state
-    /// (the trial candidates of a synthesis run) reference the same
-    /// engine, so memoized analyses are pooled across candidates and
+    /// (the runs started from one base) reference the same engine, so
+    /// memoized analyses are pooled across candidates, runs and
     /// threads.
     #[must_use]
     pub fn testability_engine(&self) -> &TestabilityEngine {
@@ -80,10 +81,10 @@ impl DesignState {
         StateTxn::begin(self)
     }
 
-    /// A cheap copy for a parallel evaluation worker: the schedule and
-    /// binding are copied (a worker's transactions must not touch the
-    /// base state), while the graph's immutable core, the testability
-    /// engine and the transaction counters are shared.
+    /// A cheap copy for one synthesis run on a shared base state: the
+    /// schedule and binding are copied (the run's transactions must not
+    /// touch the base), while the graph's immutable core, the
+    /// testability engine and the transaction counters are shared.
     #[must_use]
     pub fn fork(&self) -> DesignState {
         self.clone()

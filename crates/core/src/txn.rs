@@ -307,8 +307,7 @@ where
 }
 
 /// Cumulative transaction-layer counters of one synthesis run,
-/// aggregated across all forks and evaluation threads sharing the
-/// state's counter block.
+/// aggregated across all forks sharing the state's counter block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnStats {
     /// Transactions opened ([`StateTxn::begin`]).
@@ -324,8 +323,8 @@ pub struct TxnStats {
 }
 
 /// The shared atomic counter block behind [`TxnStats`]; every fork of a
-/// [`DesignState`] references the same block, so parallel candidate
-/// evaluation aggregates into one set of totals.
+/// [`DesignState`] references the same block, so every run forked from
+/// one base aggregates into one set of totals.
 #[derive(Debug, Default)]
 pub(crate) struct TxnCounters {
     begun: AtomicU64,

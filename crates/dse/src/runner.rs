@@ -279,13 +279,7 @@ fn synthesize(
         (Flow::Ours, Some(w)) => {
             let seed = w.seed_for(&point.params);
             return IntegratedSynthesizer::new(params)
-                .run_on_warm(
-                    &ctx.base,
-                    EvalMode::Sequential,
-                    &ctx.evaluator,
-                    ctl,
-                    seed.as_deref(),
-                )
+                .run_on_warm(&ctx.base, &ctx.evaluator, ctl, seed.as_deref())
                 .map(|warm_run| (warm_run.result, Some((warm_run.trace, warm_run.replay))))
                 .map_err(DseError::Core);
         }

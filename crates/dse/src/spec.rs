@@ -41,6 +41,25 @@ impl Flow {
     pub fn parse(s: &str) -> Option<Flow> {
         Flow::ALL.into_iter().find(|f| f.name() == s)
     }
+
+    /// The parameters a one-shot run of this flow starts from at
+    /// `bits`: the paper's `(k, α, β)` set for the width
+    /// ([`SynthesisParams::paper_defaults`]), except that CAMAD takes
+    /// its area-optimized weights (α 0.1, β 10), as in the paper's
+    /// "area-optimized benchmark" rows. Callers apply their own
+    /// k/α/β overrides on top.
+    #[must_use]
+    pub fn paper_defaults(self, bits: u32) -> SynthesisParams {
+        let params = SynthesisParams::paper_defaults(bits);
+        match self {
+            Flow::Camad => SynthesisParams {
+                alpha: 0.1,
+                beta: 10.0,
+                ..params
+            },
+            Flow::Ours | Flow::Approach1 | Flow::Approach2 => params,
+        }
+    }
 }
 
 impl std::fmt::Display for Flow {

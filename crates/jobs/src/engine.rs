@@ -51,9 +51,8 @@ pub enum JobSpec {
         flow: Flow,
         /// The flow's parameters (`k`, α, β, bits, library, …).
         params: SynthesisParams,
-        /// Candidate-evaluation mode (results are bit-identical across
-        /// modes; the daemon uses [`EvalMode::Sequential`] so worker
-        /// parallelism comes from the pool, not nested threads).
+        /// Accepted and ignored: every [`EvalMode`] evaluates on the
+        /// worker's own thread (see its docs).
         mode: EvalMode,
         /// Warm-context key: jobs submitting the same key (and bits)
         /// share one [`WarmCtx`] — base state, testability engine and

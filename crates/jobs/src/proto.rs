@@ -54,7 +54,8 @@ use crate::json::{self, Json};
 pub enum SourceRef {
     /// A built-in benchmark (`bench:NAME`).
     Bench(String),
-    /// A file path on the daemon's filesystem.
+    /// A file path on the daemon's filesystem (stdin mode only; the
+    /// TCP daemon refuses it).
     Path(String),
     /// Inline textual DFG, shipped in the request (what `hlts submit`
     /// sends so the daemon's working directory never matters).

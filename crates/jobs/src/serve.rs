@@ -13,13 +13,20 @@
 //! *request line* is answered with a structured error and counted —
 //! none of these ever terminate a connection or the daemon. That
 //! includes a line longer than [`MAX_LINE`]: the daemon never buffers
-//! more than that per connection, and skips the rest of the line.
+//! more than that per connection, and skips the rest of the line. A
+//! failed `accept` costs one client, never the TCP daemon.
+//!
+//! Path sources read files on the daemon's host, so only stdin mode
+//! accepts them; a TCP client sends `bench:` names or inline graph
+//! text, and a path from it is answered with an error, unread.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::time::Duration;
 
+use hlts_check::faults;
 use hlts_core::EvalMode;
 use hlts_dse::{ExploreConfig, SweepSpec};
 use hlts_gen::GenConfig;
@@ -34,6 +41,20 @@ use crate::proto::{self, JobRequest, Request, SourceRef};
 /// line is answered with an error, counted as malformed and skipped up
 /// to its newline.
 pub const MAX_LINE: usize = 1 << 20;
+
+/// Pause after a failed `accept` before listening again, so a burst
+/// that exhausted file descriptors gives handlers time to close some.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Where request lines come from, which decides whether path sources
+/// (server-side file reads) are allowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Transport {
+    /// `hlts serve`'s stdin: the operator's own requests.
+    Stdin,
+    /// A TCP connection: any client that can reach the port.
+    Tcp,
+}
 
 /// Daemon sizing (forwarded into [`EngineConfig`]).
 #[derive(Debug, Clone, Copy)]
@@ -130,7 +151,11 @@ fn warm_key(text: &str) -> u64 {
 }
 
 /// Resolve a source reference into a named graph (daemon-side I/O).
-fn resolve_source(source: &SourceRef) -> Result<(String, hlts_dfg::Dfg, String), String> {
+/// Path sources are refused over TCP without touching the file.
+fn resolve_source(
+    source: &SourceRef,
+    transport: Transport,
+) -> Result<(String, hlts_dfg::Dfg, String), String> {
     let text = match source {
         SourceRef::Bench(name) => {
             let dfg = hlts_benchmarks::by_name(name).ok_or_else(|| {
@@ -143,6 +168,12 @@ fn resolve_source(source: &SourceRef) -> Result<(String, hlts_dfg::Dfg, String),
             return Ok((source.name(), dfg, text));
         }
         SourceRef::Path(path) => {
+            if transport == Transport::Tcp {
+                return Err(format!(
+                    "{path}: path sources are refused over TCP; \
+                     send a `bench:` name or the graph text inline"
+                ));
+            }
             std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?
         }
         SourceRef::Inline { text, .. } => text.clone(),
@@ -151,13 +182,11 @@ fn resolve_source(source: &SourceRef) -> Result<(String, hlts_dfg::Dfg, String),
     Ok((source.name(), dfg, text))
 }
 
-/// Build the executable spec for a parsed job request. Mirrors the
-/// one-shot CLI's parameter derivation (paper defaults per bit width,
-/// the camad flow's (0.1, 10) weight default) so a daemon submission
-/// and `hlts run` produce bit-identical results.
-fn resolve_job(job: &JobRequest) -> Result<JobSpec, String> {
-    use hlts_core::SynthesisParams;
-    use hlts_dse::Flow;
+/// Build the executable spec for a parsed job request. Derives run
+/// parameters through [`Flow::paper_defaults`](hlts_dse::Flow::paper_defaults),
+/// as the one-shot CLI does, so a daemon submission and `hlts run`
+/// produce bit-identical results.
+fn resolve_job(job: &JobRequest, transport: Transport) -> Result<JobSpec, String> {
     match job {
         JobRequest::Run {
             source,
@@ -168,12 +197,8 @@ fn resolve_job(job: &JobRequest) -> Result<JobSpec, String> {
             beta,
             atpg,
         } => {
-            let (name, dfg, text) = resolve_source(source)?;
-            let mut params = SynthesisParams::paper_defaults(*bits);
-            if *flow == Flow::Camad {
-                params.alpha = 0.1;
-                params.beta = 10.0;
-            }
+            let (name, dfg, text) = resolve_source(source, transport)?;
+            let mut params = flow.paper_defaults(*bits);
             if let Some(k) = k {
                 params.k = *k;
             }
@@ -189,9 +214,6 @@ fn resolve_job(job: &JobRequest) -> Result<JobSpec, String> {
                 dfg,
                 flow: *flow,
                 params,
-                // Worker-pool parallelism comes from the engine; keep
-                // each job single-threaded inside (results are
-                // bit-identical across modes).
                 mode: EvalMode::Sequential,
                 atpg: *atpg,
             })
@@ -208,7 +230,7 @@ fn resolve_job(job: &JobRequest) -> Result<JobSpec, String> {
         } => {
             let mut benches = Vec::new();
             for source in sources {
-                let (name, dfg, _) = resolve_source(source)?;
+                let (name, dfg, _) = resolve_source(source, transport)?;
                 benches.push((name, dfg));
             }
             let spec = SweepSpec {
@@ -246,7 +268,12 @@ enum LineOutcome {
 
 /// Handle one request line: parse, act, answer. Never fails the
 /// connection — every problem becomes an `{"ok":false,...}` line.
-fn handle_line(daemon: &Daemon, line: &str, sink: &Arc<LineSink>) -> LineOutcome {
+fn handle_line(
+    daemon: &Daemon,
+    line: &str,
+    transport: Transport,
+    sink: &Arc<LineSink>,
+) -> LineOutcome {
     let line = line.trim();
     if line.is_empty() {
         return LineOutcome::Continue;
@@ -261,7 +288,7 @@ fn handle_line(daemon: &Daemon, line: &str, sink: &Arc<LineSink>) -> LineOutcome
     };
     match request {
         Request::Submit { id, job } => {
-            match resolve_job(&job) {
+            match resolve_job(&job, transport) {
                 Ok(spec) => {
                     // Hold the write lock across submit so the
                     // acknowledgement line lands before the job's
@@ -347,7 +374,12 @@ fn read_bounded_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Re
 /// input, a read error or a line that is not UTF-8. Over-long lines are
 /// answered and counted like any malformed line; the connection stays
 /// open.
-fn serve_requests(daemon: &Daemon, mut input: impl BufRead, sink: &Arc<LineSink>) -> LineOutcome {
+fn serve_requests(
+    daemon: &Daemon,
+    mut input: impl BufRead,
+    transport: Transport,
+    sink: &Arc<LineSink>,
+) -> LineOutcome {
     let mut buf = Vec::new();
     while let Ok(Some(fits)) = read_bounded_line(&mut input, &mut buf) {
         if !fits {
@@ -361,7 +393,7 @@ fn serve_requests(daemon: &Daemon, mut input: impl BufRead, sink: &Arc<LineSink>
         let Ok(line) = std::str::from_utf8(&buf) else {
             break;
         };
-        if let LineOutcome::Shutdown = handle_line(daemon, line, sink) {
+        if let LineOutcome::Shutdown = handle_line(daemon, line, transport, sink) {
             return LineOutcome::Shutdown;
         }
     }
@@ -375,7 +407,7 @@ fn serve_requests(daemon: &Daemon, mut input: impl BufRead, sink: &Arc<LineSink>
 pub fn serve_lines(input: impl BufRead, output: Box<dyn Write + Send>, cfg: ServeConfig) {
     let daemon = Daemon::new(cfg);
     let sink = Arc::new(LineSink::new(output));
-    serve_requests(&daemon, input, &sink);
+    serve_requests(&daemon, input, Transport::Stdin, &sink);
     daemon.engine.shutdown();
 }
 
@@ -384,7 +416,8 @@ fn handle_conn(daemon: &Arc<Daemon>, stream: TcpStream) {
         return;
     };
     let sink = Arc::new(LineSink::new(Box::new(write_half)));
-    if let LineOutcome::Shutdown = serve_requests(daemon, BufReader::new(stream), &sink) {
+    let input = BufReader::new(stream);
+    if let LineOutcome::Shutdown = serve_requests(daemon, input, Transport::Tcp, &sink) {
         // Unblock the accept loop so the daemon can exit: the
         // stopping flag is set, one self-connection wakes it.
         if let Some(addr) = daemon.local_addr.get() {
@@ -395,20 +428,35 @@ fn handle_conn(daemon: &Arc<Daemon>, stream: TcpStream) {
 
 /// Serve requests over TCP until a shutdown request arrives on any
 /// connection. Each connection gets its own handler thread; events of
-/// a job stream to the connection that submitted it. Returns after
-/// the engine drained.
+/// a job stream to the connection that submitted it. A failed
+/// `accept` (EMFILE in a connection burst, a reset before accept) is
+/// reported on stderr and the loop listens on after a short pause.
+/// Returns after the engine drained.
 ///
 /// # Errors
 ///
-/// Propagates listener I/O errors (accepting, local address).
+/// Only the listener's local address lookup, before serving starts.
 pub fn serve_tcp(listener: TcpListener, cfg: ServeConfig) -> std::io::Result<()> {
     let daemon = Arc::new(Daemon::new(cfg));
     let _ = daemon.local_addr.set(listener.local_addr()?);
     for stream in listener.incoming() {
-        let stream = stream?;
         if daemon.stopping.load(Ordering::Acquire) {
             break;
         }
+        let stream = match stream {
+            Ok(_) if faults::fire(faults::sites::JOBS_ACCEPT_FAIL) => {
+                Err(std::io::Error::other("injected accept failure"))
+            }
+            other => other,
+        };
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(e) => {
+                eprintln!("hlts serve: accept failed: {e}");
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
+        };
         let daemon = Arc::clone(&daemon);
         // Handler threads are not joined: a client that never sends
         // another line would otherwise block shutdown forever. They
@@ -517,6 +565,20 @@ mod tests {
         );
         let bytes = buf.lock().unwrap().clone();
         String::from_utf8(bytes).unwrap()
+    }
+
+    /// Paths resolve in stdin mode; over TCP they are refused before
+    /// the file is opened (this one exists, and is not a graph).
+    #[test]
+    fn path_sources_resolve_on_stdin_only() {
+        let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+        let source = SourceRef::Path(manifest.to_owned());
+        let stdin = resolve_source(&source, Transport::Stdin).unwrap_err();
+        assert!(!stdin.contains("refused"), "stdin read the file: {stdin}");
+        let tcp = resolve_source(&source, Transport::Tcp).unwrap_err();
+        assert!(tcp.contains("refused over TCP"), "unexpected error: {tcp}");
+        let bench = SourceRef::Bench("ex".to_owned());
+        assert!(resolve_source(&bench, Transport::Tcp).is_ok());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Fault-injection resilience suite (`--features test-faults`): a
 //! worker thread killed mid-claim takes exactly its one job with it —
 //! the engine keeps draining on the surviving workers, and the daemon
-//! keeps answering.
+//! keeps answering. A failed TCP accept costs one client, not the
+//! daemon.
 
 #![cfg(feature = "test-faults")]
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 
 use hlts_check::faults::{sites, FaultPlan};
@@ -163,4 +165,49 @@ fn daemon_survives_a_worker_kill_and_reports_the_failed_job() {
     assert!(output.contains("worker killed by injected fault"));
     assert!(output.contains("\"shutdown\": true"));
     drop(guard);
+}
+
+#[test]
+fn failed_accept_costs_one_client_and_the_daemon_keeps_serving() {
+    let guard = FaultPlan::new().arm(sites::JOBS_ACCEPT_FAIL, 1).install();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let daemon = std::thread::spawn(move || {
+        hlts_jobs::serve_tcp(
+            listener,
+            ServeConfig {
+                workers: 1,
+                queue_capacity: 2,
+                warm_capacity: 2,
+            },
+        )
+    });
+    // The first connection counts as a failed accept: the daemon drops
+    // it unanswered, so the client reads end of stream.
+    let mut lost = String::new();
+    TcpStream::connect(addr)
+        .unwrap()
+        .read_to_string(&mut lost)
+        .unwrap();
+    assert_eq!(lost, "");
+    // The next client is served on the same listener.
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut write = stream.try_clone().unwrap();
+    let mut read = BufReader::new(stream);
+    let mut line = String::new();
+    writeln!(write, r#"{{"op":"status","id":"alive"}}"#).unwrap();
+    read.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"id\": \"alive\""),
+        "unexpected reply: {line}"
+    );
+    line.clear();
+    writeln!(write, r#"{{"op":"shutdown"}}"#).unwrap();
+    read.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"shutdown\": true"),
+        "unexpected reply: {line}"
+    );
+    daemon.join().unwrap().unwrap();
+    assert_eq!(guard.fired(), vec![sites::JOBS_ACCEPT_FAIL]);
 }

@@ -1,6 +1,7 @@
 //! Daemon protocol tests over real TCP sockets: concurrent clients
 //! with bit-identical results, structured malformed-line handling
-//! (over-long lines included), and deterministic queue backpressure.
+//! (over-long lines included), refused path sources, and
+//! deterministic queue backpressure.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -229,6 +230,55 @@ fn over_long_line_is_rejected_and_the_connection_stays_open() {
             .and_then(Json::as_u64),
         Some(1)
     );
+    shutdown(&addr);
+    daemon.join().unwrap();
+}
+
+#[test]
+fn path_sources_are_refused_over_tcp_and_the_connection_stays_open() {
+    let (addr, daemon) = spawn_daemon(ServeConfig {
+        workers: 1,
+        queue_capacity: 2,
+        warm_capacity: 2,
+    });
+    // An existing server-side file, so a refusal cannot be a failed read.
+    let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+    let mut c = Client::connect(&addr);
+    c.send(&format!(
+        r#"{{"op":"submit","id":"p","job":{{"kind":"run","source":{}}}}}"#,
+        hlts_dse::json_string(manifest)
+    ));
+    let e = c.recv_response();
+    assert_eq!(e.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(e.get("id").and_then(Json::as_str), Some("p"));
+    let error = e.get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        error.contains("refused over TCP"),
+        "unexpected error: {error}"
+    );
+    assert!(
+        !error.contains("[package]"),
+        "the file must not be read: {error}"
+    );
+    // Explore sources are resolved the same way.
+    c.send(&format!(
+        r#"{{"op":"submit","id":"x","job":{{"kind":"explore","sources":["bench:ex",{}]}}}}"#,
+        hlts_dse::json_string(manifest)
+    ));
+    let e = c.recv_response();
+    assert_eq!(e.get("ok"), Some(&Json::Bool(false)));
+    assert!(e
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap()
+        .contains("refused over TCP"));
+    // The same connection still serves a `bench:` submission.
+    c.send(r#"{"op":"submit","id":"b","job":{"kind":"run","source":"bench:ex"}}"#);
+    let ack = c.recv_response();
+    assert_eq!(ack.get("ok"), Some(&Json::Bool(true)));
+    let job = ack.get("job").and_then(Json::as_u64).unwrap();
+    let done = c.recv_terminal(job);
+    assert_eq!(done.get("event").and_then(Json::as_str), Some("done"));
     shutdown(&addr);
     daemon.join().unwrap();
 }

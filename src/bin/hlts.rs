@@ -56,7 +56,7 @@
 
 use std::process::ExitCode;
 
-use hlts::core::{DesignState, EvalMode, RunCtl, SynthesisParams, SynthesisResult};
+use hlts::core::{DesignState, EvalMode, RunCtl, SynthesisResult};
 use hlts::dse::{self, ExploreConfig, Flow, SweepSpec};
 use hlts::jobs::{
     execute, proto, submit_once, AtpgRequest, ClientEnd, JobOutput, JobSpec, RunOutput,
@@ -431,12 +431,7 @@ fn synthesize(
     let Some(flow) = Flow::parse(&opts.flow) else {
         return Err(format!("unknown flow `{}`\n{}", opts.flow, usage()));
     };
-    let mut params = SynthesisParams::paper_defaults(opts.bits);
-    if flow == Flow::Camad {
-        // The CAMAD baseline's historical default weights.
-        params.alpha = 0.1;
-        params.beta = 10.0;
-    }
+    let mut params = flow.paper_defaults(opts.bits);
     if let Some(k) = opts.k {
         params.k = k;
     }
