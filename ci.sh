@@ -7,6 +7,15 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
+echo "==> production line count (info, not a gate)"
+# The rule CHANGES.md reports: .rs files under crates/*/src and src/,
+# each counted up to its first top-level #[cfg(test)].
+find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { test = 0 }
+  /^#\[cfg\(test\)\]/ { test = 1 }
+  !test { n++ }
+  END { print "production lines: " n }'
+
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 

@@ -116,12 +116,13 @@ impl SynthesisParams {
         }
     }
 
-    /// Check the parameters are usable: `k >= 1` and finite,
-    /// non-negative `alpha`/`beta`. Every library entry point calls
+    /// Check the parameters are usable: `k >= 1`, `bits >= 1` and
+    /// finite, non-negative `alpha`/`beta`. Every library entry point calls
     /// this before any work starts, so embedders get an
     /// [`CoreError::InvalidParams`] instead of a silently corrupted
     /// ΔC = α·ΔE + β·ΔH ordering (NaN weights would make every
-    /// comparison vacuous) or a degenerate shortlist.
+    /// comparison vacuous), a degenerate shortlist, or a zero-width
+    /// data path priced at H = 0.
     ///
     /// # Errors
     ///
@@ -129,6 +130,9 @@ impl SynthesisParams {
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.k == 0 {
             return Err(CoreError::InvalidParams("k must be >= 1".into()));
+        }
+        if self.bits == 0 {
+            return Err(CoreError::InvalidParams("bits must be >= 1".into()));
         }
         for (name, v) in [
             ("alpha", self.alpha),
@@ -824,6 +828,22 @@ mod tests {
         // registers must have merged below one-per-value
         assert!(r.allocation.num_registers() < 6);
         assert!(!r.merge_log.is_empty());
+    }
+
+    #[test]
+    fn zero_bits_is_rejected_before_synthesis() {
+        let params = SynthesisParams {
+            bits: 0,
+            ..SynthesisParams::default()
+        };
+        let Err(CoreError::InvalidParams(reason)) = params.validate() else {
+            panic!("a zero-width data path was accepted");
+        };
+        assert!(reason.contains("bits"), "{reason}");
+        assert!(matches!(
+            IntegratedSynthesizer::new(params).run(&small()),
+            Err(CoreError::InvalidParams(_))
+        ));
     }
 
     #[test]

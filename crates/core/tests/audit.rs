@@ -108,7 +108,7 @@ fn synthesized_benchmarks_audit_clean() {
 }
 
 /// The library-level parameter validation the CLI used to be the only
-/// guard for: NaN/negative weights and k == 0 are rejected before any
+/// guard for: NaN/negative weights, k == 0 and bits == 0 are rejected before any
 /// synthesis work happens.
 #[test]
 fn invalid_params_rejected_at_the_library_boundary() {
@@ -116,6 +116,7 @@ fn invalid_params_rejected_at_the_library_boundary() {
     let dfg = hlts_benchmarks::by_name("ex").expect("known bench");
     let cases: Vec<(&str, SynthesisParams)> = vec![
         ("k = 0", SynthesisParams { k: 0, ..SynthesisParams::paper_defaults(8) }),
+        ("bits = 0", SynthesisParams::paper_defaults(0)),
         (
             "alpha NaN",
             SynthesisParams { alpha: f64::NAN, ..SynthesisParams::paper_defaults(8) },

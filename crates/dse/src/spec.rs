@@ -110,19 +110,13 @@ impl PointParams {
         )
     }
 
-    /// Validate the point: positive `k`, finite non-negative weights,
-    /// journal-safe bench name.
+    /// Validate the point: the synthesis parameters by
+    /// [`SynthesisParams::validate`] (positive `k` and `bits`, finite
+    /// non-negative weights), plus a journal-safe bench name.
     pub(crate) fn validate(&self) -> Result<(), DseError> {
-        if self.k == 0 {
-            return Err(DseError::Spec("k must be >= 1".into()));
-        }
-        for (name, v) in [("alpha", self.alpha), ("beta", self.beta)] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(DseError::Spec(format!(
-                    "{name} must be a finite non-negative number (got {v})"
-                )));
-            }
-        }
+        self.synthesis_params()
+            .validate()
+            .map_err(|e| DseError::Spec(e.to_string()))?;
         if self.bench.is_empty() || self.bench.chars().any(char::is_whitespace) {
             return Err(DseError::Spec(format!(
                 "bench name `{}` must be non-empty and whitespace-free",
@@ -222,9 +216,9 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Rejects empty axes, invalid parameters (`k = 0`, non-finite or
-    /// negative weights), unknown bench names in `extra`, and duplicate
-    /// bench names.
+    /// Rejects empty axes, invalid parameters (`k = 0`, `bits = 0`,
+    /// non-finite or negative weights), unknown bench names in `extra`,
+    /// and duplicate bench names.
     pub fn points(&self) -> Result<Vec<SweepPoint>, DseError> {
         if self.benches.is_empty() {
             return Err(DseError::Spec("sweep needs at least one bench".into()));
@@ -354,6 +348,10 @@ mod tests {
         spec.weights = vec![(-1.0, 1.0)];
         assert!(spec.points().is_err());
         spec.weights = vec![(1.0, 1.0)];
+        spec.bits = vec![8, 0];
+        let e = spec.points().unwrap_err().to_string();
+        assert!(e.contains("bits"), "{e}");
+        spec.bits = vec![8];
         spec.extra.push(PointParams {
             bench: "missing".into(),
             flow: Flow::Ours,

@@ -37,7 +37,8 @@ use hlts_tcov::{CoverageReport, TcovConfig, TcovError, TcovPool, TcovStats};
 pub type JobId = u64;
 
 /// One unit of work. The three variants mirror the three CLI
-/// subcommands; the one-shot commands build a spec and call
+/// subcommands; the CLI and the daemon both build specs with
+/// [`resolve_job`](crate::resolve_job). The one-shot commands call
 /// [`execute`] directly, the daemon queues specs on a [`JobEngine`].
 #[derive(Debug, Clone)]
 pub enum JobSpec {
@@ -57,9 +58,10 @@ pub enum JobSpec {
         /// Warm-context key: jobs submitting the same key (and bits)
         /// share one [`WarmCtx`] — base state, testability engine and
         /// (E, H) cache — via the engine's [`WarmPool`]. The key must
-        /// uniquely identify the *graph and module library* (the serve
-        /// layer hashes the canonical emitted text); `None` builds a
-        /// fresh context. Sharing never changes results.
+        /// uniquely identify the *graph and module library*
+        /// ([`resolve_job`](crate::resolve_job) hashes the canonical
+        /// source text); `None` builds a fresh context. Sharing never
+        /// changes results.
         warm: Option<u64>,
         /// When set, grade the synthesized design's fault coverage
         /// after synthesis (through the engine's [`TcovPool`] memo)
@@ -112,6 +114,21 @@ impl Default for AtpgRequest {
         AtpgRequest {
             fault_sample: Some(2000),
             jobs: 1,
+        }
+    }
+}
+
+impl AtpgRequest {
+    /// The request the user-facing knobs describe (the protocol's
+    /// `atpg` object, the CLI's `--fault-sample`/`--tcov-jobs`): a
+    /// sample of 0 is the exhaustive collapsed universe, and an absent
+    /// knob keeps its default.
+    #[must_use]
+    pub fn from_knobs(fault_sample: Option<usize>, jobs: Option<usize>) -> AtpgRequest {
+        let default = AtpgRequest::default();
+        AtpgRequest {
+            fault_sample: fault_sample.map_or(default.fault_sample, |n| (n > 0).then_some(n)),
+            jobs: jobs.unwrap_or(default.jobs),
         }
     }
 }

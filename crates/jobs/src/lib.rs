@@ -12,6 +12,10 @@
 //!   and a [`WarmPool`] of shared per-behavior synthesis contexts
 //!   (base state + testability engine + (E, H) cache) that makes
 //!   repeat requests warm;
+//! * [`resolve_job`] — the one mapping from a protocol
+//!   [`JobRequest`](proto::JobRequest) to a [`JobSpec`], shared by the
+//!   CLI and the daemon (they differ only in the [`PathSources`] policy
+//!   and the warm pool they execute against);
 //! * [`serve`] — the line-delimited JSON daemon (stdin or TCP) and
 //!   the `hlts submit` client, speaking the [`proto`] protocol;
 //! * [`json`] — the from-scratch JSON reader the protocol needs (the
@@ -62,6 +66,7 @@
 mod engine;
 pub mod json;
 pub mod proto;
+mod resolve;
 pub mod serve;
 
 pub use engine::{
@@ -69,4 +74,5 @@ pub use engine::{
     JobEvent, JobId, JobOutput, JobSink, JobSpec, JobState, JobStatus, NullJobSink, RunOutput,
     SubmitError, WarmCtx, WarmPool,
 };
+pub use resolve::{resolve_job, PathSources};
 pub use serve::{serve_lines, serve_tcp, submit_once, ClientEnd, ServeConfig};

@@ -2,10 +2,13 @@
 //!
 //! One request per line in, one response per line out, plus streamed
 //! per-job event lines. This module is pure data: it parses request
-//! lines into [`Request`] values and renders responses/events as
-//! single-line JSON strings (hand-rolled, like every other JSON
-//! emitter in the workspace — see [`hlts_dse::json_string`]). The I/O
-//! and engine wiring live in [`crate::serve`].
+//! lines into [`Request`] values, renders a run submission
+//! ([`render_run_submit`], what `hlts submit` sends), and renders
+//! responses/events as single-line JSON strings (hand-rolled, like
+//! every other JSON emitter in the workspace — see
+//! [`hlts_dse::json_string`]). Requests become executable specs in
+//! [`crate::resolve_job`]; the I/O and engine wiring live in
+//! [`crate::serve`].
 //!
 //! # Requests
 //!
@@ -43,13 +46,13 @@
 
 use hlts_core::{DesignMetrics, ProgressEvent, SynthesisResult};
 use hlts_dfg::SymStats;
-use hlts_dse::{json_string, ExploreOutcome, Flow, TcovSweep};
+use hlts_dse::{json_string, ExploreOutcome, Flow};
 use hlts_tcov::CoverageReport;
 
 use crate::engine::{AtpgRequest, CancelOutcome, EngineCounts, JobEvent, JobId, JobOutput, RunOutput};
 use crate::json::{self, Json};
 
-/// A reference to a behavior source, resolved by the daemon.
+/// A reference to a behavior source, loaded by [`crate::resolve_job`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SourceRef {
     /// A built-in benchmark (`bench:NAME`).
@@ -68,6 +71,15 @@ pub enum SourceRef {
 }
 
 impl SourceRef {
+    /// The source a string names: `bench:NAME` or a file path.
+    #[must_use]
+    pub fn named(text: &str) -> SourceRef {
+        match text.strip_prefix("bench:") {
+            Some(name) => SourceRef::Bench(name.to_owned()),
+            None => SourceRef::Path(text.to_owned()),
+        }
+    }
+
     /// The display name used in reports and sweep specs.
     #[must_use]
     pub fn name(&self) -> String {
@@ -81,28 +93,33 @@ impl SourceRef {
     }
 }
 
-/// A parsed job description (declarative; the serve layer resolves
-/// sources and builds the executable [`crate::JobSpec`]).
+/// One synthesis run as a request describes it (what `hlts run` and
+/// `hlts submit` build from their flags).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunRequest {
+    /// The behavior.
+    pub source: SourceRef,
+    /// The flow (default `ours`).
+    pub flow: Flow,
+    /// Bit width (default 8).
+    pub bits: u32,
+    /// Shortlist size override.
+    pub k: Option<usize>,
+    /// α override.
+    pub alpha: Option<f64>,
+    /// β override.
+    pub beta: Option<f64>,
+    /// Post-synthesis coverage grading (`"atpg": true` or
+    /// `{"fault_sample": N, "jobs": M}`; absent = no grading).
+    pub atpg: Option<AtpgRequest>,
+}
+
+/// A parsed job description (declarative; [`crate::resolve_job`]
+/// loads its sources and builds the executable [`crate::JobSpec`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobRequest {
     /// One synthesis run.
-    Run {
-        /// The behavior.
-        source: SourceRef,
-        /// The flow (default `ours`).
-        flow: Flow,
-        /// Bit width (default 8).
-        bits: u32,
-        /// Shortlist size override.
-        k: Option<usize>,
-        /// α override.
-        alpha: Option<f64>,
-        /// β override.
-        beta: Option<f64>,
-        /// Post-synthesis coverage grading (`"atpg": true` or
-        /// `{"fault_sample": N, "jobs": M}`; absent = no grading).
-        atpg: Option<AtpgRequest>,
-    },
+    Run(RunRequest),
     /// A parameter sweep.
     Explore {
         /// The behaviors.
@@ -117,9 +134,10 @@ pub enum JobRequest {
         bits: Vec<u32>,
         /// Sweep-internal worker threads (default 1).
         jobs: usize,
-        /// Coverage grading per point (`"atpg": true` or
-        /// `{"fault_sample": N}`; absent = plain objectives).
-        tcov: Option<TcovSweep>,
+        /// Coverage grading per point (`"atpg"` as for a run job;
+        /// absent = plain objectives). Points grade one at a time, so
+        /// only `fault_sample` reaches the sweep.
+        atpg: Option<AtpgRequest>,
         /// Warm-start trace replay across sweep neighbours
         /// (`"warm_start": true`; default off — off is bit-identical
         /// to the pre-warm-start protocol).
@@ -242,10 +260,7 @@ pub fn parse_request(line: &str) -> Result<Request, ReqError> {
 
 fn parse_source(v: &Json) -> Result<SourceRef, String> {
     if let Some(text) = v.as_str() {
-        return Ok(match text.strip_prefix("bench:") {
-            Some(name) => SourceRef::Bench(name.to_owned()),
-            None => SourceRef::Path(text.to_owned()),
-        });
+        return Ok(SourceRef::named(text));
     }
     if matches!(v, Json::Obj(_)) {
         let text = v
@@ -265,7 +280,12 @@ fn parse_source(v: &Json) -> Result<SourceRef, String> {
     Err("source must be a string (`bench:NAME` or a path) or an inline object".to_owned())
 }
 
-fn parse_flow(s: &str) -> Result<Flow, String> {
+/// A flow by name, or an error listing the four.
+///
+/// # Errors
+///
+/// The name is not one of ours, camad, approach1, approach2.
+pub fn parse_flow(s: &str) -> Result<Flow, String> {
     Flow::parse(s)
         .ok_or_else(|| format!("unknown flow `{s}` (expected ours, camad, approach1 or approach2)"))
 }
@@ -286,6 +306,25 @@ fn parse_weight(v: &Json, what: &str) -> Result<f64, String> {
     Ok(w)
 }
 
+/// An optional array member: `default` when absent, else every entry
+/// parsed by `item`.
+fn list<T>(
+    job: &Json,
+    key: &str,
+    default: Vec<T>,
+    item: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    match job.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .as_arr()
+            .ok_or_else(|| format!("`{key}` must be an array"))?
+            .iter()
+            .map(item)
+            .collect(),
+    }
+}
+
 /// The `atpg` knob shared by run and explore jobs: absent or `false`
 /// disables grading, `true` takes the defaults, an object validates
 /// `fault_sample` (0 = the exhaustive collapsed universe) and `jobs`
@@ -298,23 +337,18 @@ fn parse_atpg(job: &Json) -> Result<Option<AtpgRequest>, String> {
         Json::Bool(false) => Ok(None),
         Json::Bool(true) => Ok(Some(AtpgRequest::default())),
         Json::Obj(_) => {
-            let mut req = AtpgRequest::default();
-            if let Some(fs) = v.get("fault_sample") {
-                let n = fs
-                    .as_usize()
-                    .ok_or("`fault_sample` must be a non-negative integer")?;
-                req.fault_sample = (n > 0).then_some(n);
+            let fault_sample = v
+                .get("fault_sample")
+                .map(|n| n.as_usize().ok_or("`fault_sample` must be a non-negative integer"))
+                .transpose()?;
+            let jobs = v
+                .get("jobs")
+                .map(|j| j.as_usize().ok_or("atpg `jobs` must be a non-negative integer"))
+                .transpose()?;
+            if jobs == Some(0) {
+                return Err("atpg `jobs` must be >= 1".to_owned());
             }
-            if let Some(j) = v.get("jobs") {
-                let j = j
-                    .as_usize()
-                    .ok_or("atpg `jobs` must be a non-negative integer")?;
-                if j == 0 {
-                    return Err("atpg `jobs` must be >= 1".to_owned());
-                }
-                req.jobs = j;
-            }
-            Ok(Some(req))
+            Ok(Some(AtpgRequest::from_knobs(fault_sample, jobs)))
         }
         _ => Err("`atpg` must be a boolean or an object".to_owned()),
     }
@@ -359,7 +393,7 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
                 .map(|v| parse_weight(v, "beta"))
                 .transpose()?;
             let atpg = parse_atpg(job)?;
-            Ok(JobRequest::Run {
+            Ok(JobRequest::Run(RunRequest {
                 source,
                 flow,
                 bits,
@@ -367,7 +401,7 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
                 alpha,
                 beta,
                 atpg,
-            })
+            }))
         }
         "explore" => {
             let sources = job
@@ -380,47 +414,20 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
             if sources.is_empty() {
                 return Err("`sources` must not be empty".to_owned());
             }
-            let flows = match job.get("flows").map(Json::as_arr) {
-                None => vec![Flow::Ours],
-                Some(None) => return Err("`flows` must be an array".to_owned()),
-                Some(Some(items)) => items
-                    .iter()
-                    .map(|f| parse_flow(f.as_str().ok_or("`flows` entries must be strings")?))
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            let ks = match job.get("ks").map(Json::as_arr) {
-                None => vec![3],
-                Some(None) => return Err("`ks` must be an array".to_owned()),
-                Some(Some(items)) => items
-                    .iter()
-                    .map(parse_k)
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            let weights = match job.get("weights").map(Json::as_arr) {
-                None => vec![(2.0, 1.0), (10.0, 1.0), (1.0, 10.0)],
-                Some(None) => return Err("`weights` must be an array".to_owned()),
-                Some(Some(items)) => items
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair
-                            .as_arr()
-                            .filter(|p| p.len() == 2)
-                            .ok_or("`weights` entries must be [alpha, beta] pairs")?;
-                        Ok::<_, String>((
-                            parse_weight(&pair[0], "alpha")?,
-                            parse_weight(&pair[1], "beta")?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            let bits = match job.get("bits").map(Json::as_arr) {
-                None => vec![8],
-                Some(None) => return Err("`bits` must be an array".to_owned()),
-                Some(Some(items)) => items
-                    .iter()
-                    .map(|b| b.as_u32().ok_or("`bits` entries must be integers".to_owned()))
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
+            let flows = list(job, "flows", vec![Flow::Ours], |f| {
+                parse_flow(f.as_str().ok_or("`flows` entries must be strings")?)
+            })?;
+            let ks = list(job, "ks", vec![3], parse_k)?;
+            let weights = list(job, "weights", vec![(2.0, 1.0), (10.0, 1.0), (1.0, 10.0)], |pair| {
+                let pair = pair
+                    .as_arr()
+                    .filter(|p| p.len() == 2)
+                    .ok_or("`weights` entries must be [alpha, beta] pairs")?;
+                Ok((parse_weight(&pair[0], "alpha")?, parse_weight(&pair[1], "beta")?))
+            })?;
+            let bits = list(job, "bits", vec![8], |b| {
+                b.as_u32().ok_or_else(|| "`bits` entries must be integers".to_owned())
+            })?;
             if flows.is_empty() || ks.is_empty() || weights.is_empty() || bits.is_empty() {
                 return Err("grid axes must not be empty".to_owned());
             }
@@ -434,12 +441,7 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
                     j
                 }
             };
-            // The sweep grades per point at `jobs = 1` (sweep workers
-            // are the parallelism), so only `fault_sample` carries
-            // over; a graded report is jobs-invariant either way.
-            let tcov = parse_atpg(job)?.map(|req| TcovSweep {
-                fault_sample: req.fault_sample.unwrap_or(0),
-            });
+            let atpg = parse_atpg(job)?;
             let warm_start = match job.get("warm_start") {
                 None => false,
                 Some(Json::Bool(b)) => *b,
@@ -452,7 +454,7 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
                 weights,
                 bits,
                 jobs,
-                tcov,
+                atpg,
                 warm_start,
             })
         }
@@ -478,6 +480,42 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
 
 fn id_field(id: Option<&str>) -> String {
     id.map_or_else(String::new, |id| format!("\"id\": {}, ", json_string(id)))
+}
+
+/// The `submit` line of one run job, which [`parse_request`] reads
+/// back to the same request (floats in Rust's shortest round-trip
+/// form).
+#[must_use]
+pub fn render_run_submit(id: Option<&str>, run: &RunRequest) -> String {
+    let source = match &run.source {
+        SourceRef::Bench(name) => json_string(&format!("bench:{name}")),
+        SourceRef::Path(path) => json_string(path),
+        SourceRef::Inline { name, text } => format!(
+            "{{\"name\": {}, \"dfg\": {}}}",
+            json_string(name),
+            json_string(text)
+        ),
+    };
+    let mut job = format!(
+        "{{\"kind\": \"run\", \"source\": {source}, \"flow\": \"{}\", \"bits\": {}",
+        run.flow, run.bits
+    );
+    if let Some(k) = run.k {
+        job.push_str(&format!(", \"k\": {k}"));
+    }
+    for (key, weight) in [("alpha", run.alpha), ("beta", run.beta)] {
+        if let Some(w) = weight {
+            job.push_str(&format!(", \"{key}\": {w:?}"));
+        }
+    }
+    if let Some(a) = run.atpg {
+        job.push_str(&format!(
+            ", \"atpg\": {{\"fault_sample\": {}, \"jobs\": {}}}",
+            a.fault_sample.unwrap_or(0),
+            a.jobs
+        ));
+    }
+    format!("{{{}\"op\": \"submit\", \"job\": {job}}}}}", id_field(id))
 }
 
 /// `{"ok":true,...}` submit acknowledgement with the engine job id.
@@ -727,7 +765,7 @@ mod tests {
         assert_eq!(id.as_deref(), Some("c1"));
         assert_eq!(
             job,
-            JobRequest::Run {
+            JobRequest::Run(RunRequest {
                 source: SourceRef::Bench("ewf".into()),
                 flow: Flow::Ours,
                 bits: 8,
@@ -735,7 +773,7 @@ mod tests {
                 alpha: None,
                 beta: None,
                 atpg: None,
-            }
+            })
         );
     }
 
@@ -748,13 +786,13 @@ mod tests {
             job
         };
         // `true` takes the defaults, `false` is the same as absent.
-        let JobRequest::Run { atpg, .. } =
+        let JobRequest::Run(RunRequest { atpg, .. }) =
             get(r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","atpg":true}}"#)
         else {
             panic!("wrong job kind");
         };
         assert_eq!(atpg, Some(AtpgRequest::default()));
-        let JobRequest::Run { atpg, .. } =
+        let JobRequest::Run(RunRequest { atpg, .. }) =
             get(r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","atpg":false}}"#)
         else {
             panic!("wrong job kind");
@@ -762,7 +800,7 @@ mod tests {
         assert_eq!(atpg, None);
         // An object validates both knobs; `fault_sample: 0` means the
         // exhaustive collapsed universe.
-        let JobRequest::Run { atpg, .. } = get(
+        let JobRequest::Run(RunRequest { atpg, .. }) = get(
             r#"{"op":"submit","job":{"kind":"run","source":"bench:ex",
                 "atpg":{"fault_sample":0,"jobs":4}}}"#,
         ) else {
@@ -776,13 +814,13 @@ mod tests {
             })
         );
         // Explore carries the sample into the sweep spec.
-        let JobRequest::Explore { tcov, .. } = get(
+        let JobRequest::Explore { atpg, .. } = get(
             r#"{"op":"submit","job":{"kind":"explore","sources":["bench:ex"],
                 "atpg":{"fault_sample":500}}}"#,
         ) else {
             panic!("wrong job kind");
         };
-        assert_eq!(tcov, Some(TcovSweep { fault_sample: 500 }));
+        assert_eq!(atpg.and_then(|a| a.fault_sample), Some(500));
         // Garbage is rejected, not defaulted.
         let e = parse_request(
             r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","atpg":{"jobs":0}}}"#,
@@ -812,7 +850,7 @@ mod tests {
                 weights,
                 bits,
                 jobs,
-                tcov,
+                atpg,
                 warm_start,
             },
             ..
@@ -827,7 +865,7 @@ mod tests {
         assert_eq!(weights, vec![(2.0, 1.0)]);
         assert_eq!(bits, vec![4, 8]);
         assert_eq!(jobs, 2);
-        assert_eq!(tcov, None);
+        assert_eq!(atpg, None);
         assert!(!warm_start, "warm start defaults to off");
     }
 
@@ -855,6 +893,50 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("warm_start"), "{}", e.message);
+    }
+
+    /// `render_run_submit` is `parse_request`'s inverse: what `hlts
+    /// submit` sends is read back as the very request it built.
+    #[test]
+    fn rendered_run_submits_parse_back_unchanged() {
+        let sources = [
+            SourceRef::Bench("ex".into()),
+            SourceRef::Path("dir/a b.dfg".into()),
+            SourceRef::Inline {
+                name: "stdin".into(),
+                text: "dfg t {\n  input a, b;\n  N1: s = \"a\" + b;\n  output s;\n}\n".into(),
+            },
+        ];
+        for (i, flow) in Flow::ALL.into_iter().enumerate() {
+            for source in &sources {
+                let plain = RunRequest {
+                    source: source.clone(),
+                    flow,
+                    bits: 8,
+                    k: None,
+                    alpha: None,
+                    beta: None,
+                    atpg: None,
+                };
+                let tuned = RunRequest {
+                    bits: 4 << i,
+                    k: Some(2),
+                    alpha: Some(2.5),
+                    beta: Some(1e-7),
+                    atpg: Some(AtpgRequest::from_knobs(Some(i * 300), Some(i + 1))),
+                    ..plain.clone()
+                };
+                for (id, run) in [(None, plain), (Some("cli"), tuned)] {
+                    let line = render_run_submit(id, &run);
+                    assert!(!line.contains('\n'), "multi-line request: {line}");
+                    let want = Request::Submit {
+                        id: id.map(str::to_owned),
+                        job: JobRequest::Run(run),
+                    };
+                    assert_eq!(parse_request(&line), Ok(want), "{line}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! none of these ever terminate a connection or the daemon. That
 //! includes a line longer than [`MAX_LINE`]: the daemon never buffers
 //! more than that per connection, and skips the rest of the line. A
-//! failed `accept` costs one client, never the TCP daemon.
+//! failed `accept` costs one client, never the TCP daemon, and so does
+//! a connection beyond [`MAX_CONNECTIONS`]: it gets one error line and
+//! is closed.
 //!
 //! Path sources read files on the daemon's host, so only stdin mode
 //! accepts them; a TCP client sends `bench:` names or inline graph
@@ -22,39 +24,29 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 use hlts_check::faults;
-use hlts_core::EvalMode;
-use hlts_dse::{ExploreConfig, SweepSpec};
-use hlts_gen::GenConfig;
 
-use crate::engine::{
-    EngineConfig, JobEngine, JobEvent, JobId, JobSink, JobSpec, SubmitError,
-};
+use crate::engine::{EngineConfig, JobEngine, JobEvent, JobId, JobSink, SubmitError};
 use crate::json::{self, Json};
-use crate::proto::{self, JobRequest, Request, SourceRef};
+use crate::proto::{self, Request};
+use crate::resolve::{resolve_job, PathSources};
 
 /// Longest request line the daemon buffers, in bytes (1 MiB). A longer
 /// line is answered with an error, counted as malformed and skipped up
 /// to its newline.
 pub const MAX_LINE: usize = 1 << 20;
 
+/// Most TCP connections served at once. One more is answered with
+/// `{"ok": false, "error": ...}` and closed; the accept loop listens on.
+pub const MAX_CONNECTIONS: usize = 64;
+
 /// Pause after a failed `accept` before listening again, so a burst
 /// that exhausted file descriptors gives handlers time to close some.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
-
-/// Where request lines come from, which decides whether path sources
-/// (server-side file reads) are allowed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Transport {
-    /// `hlts serve`'s stdin: the operator's own requests.
-    Stdin,
-    /// A TCP connection: any client that can reach the port.
-    Tcp,
-}
 
 /// Daemon sizing (forwarded into [`EngineConfig`]).
 #[derive(Debug, Clone, Copy)]
@@ -117,6 +109,8 @@ impl JobSink for LineSink {
 struct Daemon {
     engine: JobEngine,
     malformed: AtomicU64,
+    /// Live TCP connection handlers (see [`ConnSlot`]).
+    connections: AtomicUsize,
     /// Set once a shutdown request was accepted; the TCP accept loop
     /// checks it after every accepted connection.
     stopping: std::sync::atomic::AtomicBool,
@@ -131,132 +125,9 @@ impl Daemon {
         Daemon {
             engine: JobEngine::start(cfg.into()),
             malformed: AtomicU64::new(0),
+            connections: AtomicUsize::new(0),
             stopping: std::sync::atomic::AtomicBool::new(false),
             local_addr: OnceLock::new(),
-        }
-    }
-}
-
-/// FNV-1a over the canonical source text: the warm-context key for
-/// run jobs (same text + same bits ⇒ same shared context; the daemon
-/// always synthesizes with the default module library, which the key
-/// therefore need not encode).
-fn warm_key(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Resolve a source reference into a named graph (daemon-side I/O).
-/// Path sources are refused over TCP without touching the file.
-fn resolve_source(
-    source: &SourceRef,
-    transport: Transport,
-) -> Result<(String, hlts_dfg::Dfg, String), String> {
-    let text = match source {
-        SourceRef::Bench(name) => {
-            let dfg = hlts_benchmarks::by_name(name).ok_or_else(|| {
-                format!(
-                    "unknown benchmark `{name}` (have: {})",
-                    hlts_benchmarks::NAMES.join(", ")
-                )
-            })?;
-            let text = hlts_dfg::emit(&dfg).map_err(|e| e.to_string())?;
-            return Ok((source.name(), dfg, text));
-        }
-        SourceRef::Path(path) => {
-            if transport == Transport::Tcp {
-                return Err(format!(
-                    "{path}: path sources are refused over TCP; \
-                     send a `bench:` name or the graph text inline"
-                ));
-            }
-            std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?
-        }
-        SourceRef::Inline { text, .. } => text.clone(),
-    };
-    let dfg = hlts_dfg::parse(&text).map_err(|e| format!("{}: {e}", source.name()))?;
-    Ok((source.name(), dfg, text))
-}
-
-/// Build the executable spec for a parsed job request. Derives run
-/// parameters through [`Flow::paper_defaults`](hlts_dse::Flow::paper_defaults),
-/// as the one-shot CLI does, so a daemon submission and `hlts run`
-/// produce bit-identical results.
-fn resolve_job(job: &JobRequest, transport: Transport) -> Result<JobSpec, String> {
-    match job {
-        JobRequest::Run {
-            source,
-            flow,
-            bits,
-            k,
-            alpha,
-            beta,
-            atpg,
-        } => {
-            let (name, dfg, text) = resolve_source(source, transport)?;
-            let mut params = flow.paper_defaults(*bits);
-            if let Some(k) = k {
-                params.k = *k;
-            }
-            if let Some(a) = alpha {
-                params.alpha = *a;
-            }
-            if let Some(b) = beta {
-                params.beta = *b;
-            }
-            Ok(JobSpec::Run {
-                name,
-                warm: Some(warm_key(&text)),
-                dfg,
-                flow: *flow,
-                params,
-                mode: EvalMode::Sequential,
-                atpg: *atpg,
-            })
-        }
-        JobRequest::Explore {
-            sources,
-            flows,
-            ks,
-            weights,
-            bits,
-            jobs,
-            tcov,
-            warm_start,
-        } => {
-            let mut benches = Vec::new();
-            for source in sources {
-                let (name, dfg, _) = resolve_source(source, transport)?;
-                benches.push((name, dfg));
-            }
-            let spec = SweepSpec {
-                benches,
-                flows: flows.clone(),
-                ks: ks.clone(),
-                weights: weights.clone(),
-                bits: bits.clone(),
-                extra: Vec::new(),
-                tcov: *tcov,
-                warm_start: *warm_start,
-            };
-            let cfg = ExploreConfig {
-                jobs: *jobs,
-                ..ExploreConfig::default()
-            };
-            Ok(JobSpec::Explore { spec, cfg })
-        }
-        JobRequest::Gen { seed, preset } => {
-            let cfg: GenConfig = hlts_gen::preset(preset).ok_or_else(|| {
-                format!(
-                    "unknown preset `{preset}` (have: {})",
-                    hlts_gen::PRESET_NAMES.join(", ")
-                )
-            })?;
-            Ok(JobSpec::Gen { seed: *seed, cfg })
         }
     }
 }
@@ -271,7 +142,7 @@ enum LineOutcome {
 fn handle_line(
     daemon: &Daemon,
     line: &str,
-    transport: Transport,
+    paths: PathSources,
     sink: &Arc<LineSink>,
 ) -> LineOutcome {
     let line = line.trim();
@@ -288,7 +159,7 @@ fn handle_line(
     };
     match request {
         Request::Submit { id, job } => {
-            match resolve_job(&job, transport) {
+            match resolve_job(&job, paths) {
                 Ok(spec) => {
                     // Hold the write lock across submit so the
                     // acknowledgement line lands before the job's
@@ -377,7 +248,7 @@ fn read_bounded_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Re
 fn serve_requests(
     daemon: &Daemon,
     mut input: impl BufRead,
-    transport: Transport,
+    paths: PathSources,
     sink: &Arc<LineSink>,
 ) -> LineOutcome {
     let mut buf = Vec::new();
@@ -393,7 +264,7 @@ fn serve_requests(
         let Ok(line) = std::str::from_utf8(&buf) else {
             break;
         };
-        if let LineOutcome::Shutdown = handle_line(daemon, line, transport, sink) {
+        if let LineOutcome::Shutdown = handle_line(daemon, line, paths, sink) {
             return LineOutcome::Shutdown;
         }
     }
@@ -407,17 +278,28 @@ fn serve_requests(
 pub fn serve_lines(input: impl BufRead, output: Box<dyn Write + Send>, cfg: ServeConfig) {
     let daemon = Daemon::new(cfg);
     let sink = Arc::new(LineSink::new(output));
-    serve_requests(&daemon, input, Transport::Stdin, &sink);
+    serve_requests(&daemon, input, PathSources::Allow, &sink);
     daemon.engine.shutdown();
 }
 
-fn handle_conn(daemon: &Arc<Daemon>, stream: TcpStream) {
+/// One counted connection: taken in the accept loop, held by the
+/// connection's handler, given back when dropped.
+struct ConnSlot(Arc<Daemon>);
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+fn handle_conn(slot: ConnSlot, stream: TcpStream) {
+    let daemon = &slot.0;
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let sink = Arc::new(LineSink::new(Box::new(write_half)));
     let input = BufReader::new(stream);
-    if let LineOutcome::Shutdown = serve_requests(daemon, input, Transport::Tcp, &sink) {
+    if let LineOutcome::Shutdown = serve_requests(daemon, input, PathSources::Refuse, &sink) {
         // Unblock the accept loop so the daemon can exit: the
         // stopping flag is set, one self-connection wakes it.
         if let Some(addr) = daemon.local_addr.get() {
@@ -427,8 +309,9 @@ fn handle_conn(daemon: &Arc<Daemon>, stream: TcpStream) {
 }
 
 /// Serve requests over TCP until a shutdown request arrives on any
-/// connection. Each connection gets its own handler thread; events of
-/// a job stream to the connection that submitted it. A failed
+/// connection. Each connection gets its own handler thread, up to
+/// [`MAX_CONNECTIONS`] at once; events of a job stream to the
+/// connection that submitted it. A failed
 /// `accept` (EMFILE in a connection burst, a reset before accept) is
 /// reported on stderr and the loop listens on after a short pause.
 /// Returns after the engine drained.
@@ -457,13 +340,26 @@ pub fn serve_tcp(listener: TcpListener, cfg: ServeConfig) -> std::io::Result<()>
                 continue;
             }
         };
-        let daemon = Arc::clone(&daemon);
+        let live = daemon.connections.fetch_add(1, Ordering::AcqRel);
+        let slot = ConnSlot(Arc::clone(&daemon));
+        if live >= MAX_CONNECTIONS {
+            // `slot` drops with this iteration, undoing the count.
+            let _ = writeln!(
+                &stream,
+                "{}",
+                proto::render_error(
+                    None,
+                    &format!("too many connections ({MAX_CONNECTIONS} open); retry later")
+                )
+            );
+            continue;
+        }
         // Handler threads are not joined: a client that never sends
         // another line would otherwise block shutdown forever. They
         // hold only an Arc on the daemon and die with the process.
         let _ = std::thread::Builder::new()
             .name("hlts-serve-conn".to_owned())
-            .spawn(move || handle_conn(&daemon, stream));
+            .spawn(move || handle_conn(slot, stream));
     }
     daemon.engine.shutdown();
     Ok(())
@@ -534,13 +430,6 @@ pub fn submit_once(
 mod tests {
     use super::*;
 
-    #[test]
-    fn warm_key_distinguishes_texts() {
-        assert_eq!(warm_key("abc"), warm_key("abc"));
-        assert_ne!(warm_key("abc"), warm_key("abd"));
-        assert_ne!(warm_key(""), warm_key("a"));
-    }
-
     /// Run `serve_lines` over `input` and return its output text.
     fn serve_text(input: &[u8]) -> String {
         let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
@@ -565,20 +454,6 @@ mod tests {
         );
         let bytes = buf.lock().unwrap().clone();
         String::from_utf8(bytes).unwrap()
-    }
-
-    /// Paths resolve in stdin mode; over TCP they are refused before
-    /// the file is opened (this one exists, and is not a graph).
-    #[test]
-    fn path_sources_resolve_on_stdin_only() {
-        let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
-        let source = SourceRef::Path(manifest.to_owned());
-        let stdin = resolve_source(&source, Transport::Stdin).unwrap_err();
-        assert!(!stdin.contains("refused"), "stdin read the file: {stdin}");
-        let tcp = resolve_source(&source, Transport::Tcp).unwrap_err();
-        assert!(tcp.contains("refused over TCP"), "unexpected error: {tcp}");
-        let bench = SourceRef::Bench("ex".to_owned());
-        assert!(resolve_source(&bench, Transport::Tcp).is_ok());
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Daemon protocol tests over real TCP sockets: concurrent clients
 //! with bit-identical results, structured malformed-line handling
-//! (over-long lines included), refused path sources, and
-//! deterministic queue backpressure.
+//! (over-long lines included), refused path sources and parameters,
+//! the connection cap, and deterministic queue backpressure.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
-use hlts_core::{EvalMode, NullSink, RunCtl, SynthesisParams};
+use hlts_core::{EvalMode, NullSink, RunCtl};
 use hlts_dse::Flow;
 use hlts_jobs::json::{self, Json};
+use hlts_jobs::serve::MAX_CONNECTIONS;
 use hlts_jobs::{execute, proto, JobOutput, JobSpec, ServeConfig, WarmPool};
 
 /// Spawn a daemon on an ephemeral port; returns (addr, join handle).
@@ -85,16 +87,11 @@ fn shutdown(addr: &str) {
 
 /// The one-shot result a daemon submission must match bit-for-bit.
 fn oneshot_result_json(bench: &str, flow: Flow, bits: u32) -> Json {
-    let mut params = SynthesisParams::paper_defaults(bits);
-    if flow == Flow::Camad {
-        params.alpha = 0.1;
-        params.beta = 10.0;
-    }
     let spec = JobSpec::Run {
         name: bench.to_owned(),
         dfg: hlts_benchmarks::by_name(bench).unwrap(),
         flow,
-        params,
+        params: flow.paper_defaults(bits),
         mode: EvalMode::Sequential,
         warm: None,
         atpg: None,
@@ -280,6 +277,91 @@ fn path_sources_are_refused_over_tcp_and_the_connection_stays_open() {
     let done = c.recv_terminal(job);
     assert_eq!(done.get("event").and_then(Json::as_str), Some("done"));
     shutdown(&addr);
+    daemon.join().unwrap();
+}
+
+#[test]
+fn zero_bits_is_refused_at_submit_and_the_connection_stays_open() {
+    let (addr, daemon) = spawn_daemon(ServeConfig {
+        workers: 1,
+        queue_capacity: 2,
+        warm_capacity: 2,
+    });
+    let mut c = Client::connect(&addr);
+    for job in [
+        r#"{"kind":"run","source":"bench:ex","bits":0}"#,
+        r#"{"kind":"explore","sources":["bench:ex"],"bits":[8,0]}"#,
+    ] {
+        c.send(&format!(r#"{{"op":"submit","id":"z","job":{job}}}"#));
+        let e = c.recv_response();
+        assert_eq!(e.get("ok"), Some(&Json::Bool(false)), "{job} accepted: {e:?}");
+        assert_eq!(e.get("id").and_then(Json::as_str), Some("z"));
+        let error = e.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("bits"), "{job}: {error}");
+    }
+    c.send(r#"{"op":"submit","id":"b","job":{"kind":"run","source":"bench:ex","bits":4}}"#);
+    let ack = c.recv_response();
+    let job = ack.get("job").and_then(Json::as_u64).unwrap();
+    assert_eq!(
+        c.recv_terminal(job).get("event").and_then(Json::as_str),
+        Some("done")
+    );
+    shutdown(&addr);
+    daemon.join().unwrap();
+}
+
+/// A `status` request on a fresh connection: the response when one was
+/// served, `None` when the daemon refused the connection (its error
+/// line, or a reset closing it).
+fn status_on_new_connection(addr: &str) -> Option<Json> {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let _ = writeln!(&stream, r#"{{"op":"status"}}"#);
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).ok()?;
+    let doc = json::parse(line.trim()).ok()?;
+    (doc.get("ok") == Some(&Json::Bool(true))).then_some(doc)
+}
+
+#[test]
+fn connections_beyond_the_cap_are_refused_until_one_closes() {
+    let (addr, daemon) = spawn_daemon(ServeConfig {
+        workers: 1,
+        queue_capacity: 2,
+        warm_capacity: 2,
+    });
+    // Fill the cap with connections that are each being served.
+    let mut open: Vec<Client> = (0..MAX_CONNECTIONS).map(|_| Client::connect(&addr)).collect();
+    for c in &mut open {
+        c.send(r#"{"op":"status"}"#);
+        assert_eq!(c.recv_response().get("ok"), Some(&Json::Bool(true)));
+    }
+    // One more gets a single error line, then end of stream.
+    let mut over = Client::connect(&addr);
+    over.read
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let e = over.recv();
+    assert_eq!(e.get("ok"), Some(&Json::Bool(false)));
+    let error = e.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("too many connections"), "{error}");
+    let mut rest = String::new();
+    assert_eq!(over.read.read_line(&mut rest).unwrap(), 0, "still open: {rest}");
+    // Closing one frees its slot once its handler sees end of stream.
+    drop(open.pop());
+    let served = (0..200).find_map(|_| {
+        status_on_new_connection(&addr).or_else(|| {
+            std::thread::sleep(Duration::from_millis(25));
+            None
+        })
+    });
+    assert!(served.is_some(), "no slot was freed");
+    // The connections that stayed open are still served.
+    open[0].send(r#"{"op":"shutdown"}"#);
+    assert_eq!(open[0].recv_response().get("shutdown"), Some(&Json::Bool(true)));
     daemon.join().unwrap();
 }
 

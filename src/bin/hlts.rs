@@ -1,20 +1,6 @@
 //! `hlts` — command-line front end to the test-synthesis system.
 //!
-//! ```text
-//! hlts [run] <file.dfg | bench:NAME> [--flow ours|camad|approach1|approach2]
-//!      [--bits N] [--k N] [--alpha X] [--beta X] [--atpg]
-//!      [--fault-sample N] [--tcov-jobs N] [--audit] [--json] [--quiet]
-//! hlts explore <source>... [--flow LIST] [--bits LIST] [--k LIST]
-//!      [--weights A:B,...] [--jobs N] [--warm-start off|on] [--atpg]
-//!      [--fault-sample N] [--journal PATH | --resume PATH] [--json] [--quiet]
-//! hlts gen [--seed N] [--preset NAME] [--list-presets] [--out FILE]
-//!      [--ops N] [--inputs N] [--const-ratio X] [--mul W] [--addsub W]
-//!      [--logic W] [--cmp W] [--shift W] [--depth-bias X]
-//!      [--fanout-skew X] [--loops N] [--name IDENT]
-//! hlts serve [--tcp ADDR] [--workers N] [--queue N] [--warm N]
-//! hlts submit <file.dfg | bench:NAME | -> --connect ADDR
-//!      [--flow FLOW] [--bits N] [--k N] [--alpha X] [--beta X] [--atpg]
-//! ```
+//! `hlts --help` prints the synopsis of every subcommand.
 //!
 //! `run` (the default subcommand) reads a behavioral description in the
 //! textual DFG format (or a built-in benchmark via `bench:ex`,
@@ -49,26 +35,25 @@
 //! TCP, with warm per-behavior caches shared across submissions.
 //! `submit` is its one-shot client: `hlts gen --seed 7 | hlts submit -
 //! --connect HOST:PORT` ships the generated behavior to a daemon and
-//! streams the job's events back. `run` and `explore` honour Ctrl-C:
+//! streams the job's events back. `run`, `explore` and `submit` all
+//! build the daemon's own `JobRequest`; `run` and `explore` turn it
+//! into a job with the daemon's resolver (`resolve_job`), so a one-shot
+//! run and a served one are the same code. `run` and `explore` honour Ctrl-C:
 //! an interrupt cancels at the next iteration/point boundary and an
 //! interrupted sweep still reports its partial front (flagged
 //! `degraded: cancelled`) with the journal intact.
 
+use std::io::Read as _;
 use std::process::ExitCode;
 
-use hlts::core::{DesignState, EvalMode, RunCtl, SynthesisResult};
-use hlts::dse::{self, ExploreConfig, Flow, SweepSpec};
+use hlts::core::{DesignState, RunCtl, SynthesisResult};
+use hlts::dse::{self, Flow};
+use hlts::jobs::proto::{self, JobRequest, RunRequest, SourceRef};
 use hlts::jobs::{
-    execute, proto, submit_once, AtpgRequest, ClientEnd, JobOutput, JobSpec, RunOutput,
+    execute, resolve_job, submit_once, AtpgRequest, ClientEnd, JobOutput, JobSpec, PathSources,
     ServeConfig, WarmPool,
 };
 use hlts::tcov::CoverageReport;
-
-/// Collapsed faults graded when `--atpg` is given without an explicit
-/// `--fault-sample` (0 = exhaustive): enough for a stable coverage
-/// estimate on every built-in benchmark while keeping one-shot runs
-/// interactive.
-const DEFAULT_FAULT_SAMPLE: usize = 2000;
 
 /// Ctrl-C wiring: SIGINT fires the process-wide [`CancelToken`], so a
 /// one-shot `hlts run`/`hlts explore` stops at the next clean boundary
@@ -115,34 +100,9 @@ mod sigint {
     }
 }
 
-struct RunOptions {
-    source: String,
-    flow: String,
-    bits: u32,
-    k: Option<usize>,
-    alpha: Option<f64>,
-    beta: Option<f64>,
-    atpg: bool,
-    /// `--fault-sample` (0 = exhaustive); `None` = flag absent, use
-    /// the default sample.
-    fault_sample: Option<usize>,
-    /// `--tcov-jobs`; `None` = flag absent, grade single-threaded.
-    tcov_jobs: Option<usize>,
-    audit: bool,
-    json: bool,
-    quiet: bool,
-}
-
 struct ExploreOptions {
-    sources: Vec<String>,
-    flows: Vec<Flow>,
-    ks: Vec<usize>,
-    weights: Vec<(f64, f64)>,
-    bits: Vec<u32>,
-    jobs: usize,
-    warm_start: bool,
-    atpg: bool,
-    fault_sample: Option<usize>,
+    /// The daemon's request for this sweep.
+    job: JobRequest,
     journal: Option<String>,
     resume: Option<String>,
     json: bool,
@@ -253,94 +213,78 @@ fn parse_list<T, F: Fn(&str) -> Result<T, String>>(
     Ok(out)
 }
 
-fn parse_run_args(mut args: impl Iterator<Item = String>) -> Result<RunOptions, String> {
-    let mut opts = RunOptions {
-        source: String::new(),
-        flow: "ours".into(),
-        bits: 8,
-        k: None,
-        alpha: None,
-        beta: None,
-        atpg: false,
-        fault_sample: None,
-        tcov_jobs: None,
-        audit: false,
-        json: false,
-        quiet: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--flow" => opts.flow = take(&mut args, "--flow")?,
-            "--bits" => {
-                opts.bits = take(&mut args, "--bits")?
-                    .parse()
-                    .map_err(|e| format!("--bits: {e}"))?;
-            }
-            "--k" => opts.k = Some(parse_k(&take(&mut args, "--k")?)?),
-            "--alpha" => opts.alpha = Some(parse_weight("--alpha", &take(&mut args, "--alpha")?)?),
-            "--beta" => opts.beta = Some(parse_weight("--beta", &take(&mut args, "--beta")?)?),
-            "--atpg" => opts.atpg = true,
-            "--fault-sample" => {
-                opts.fault_sample = Some(parse_fault_sample(&take(&mut args, "--fault-sample")?)?);
-            }
-            "--tcov-jobs" => {
-                opts.tcov_jobs =
-                    Some(parse_positive_count("--tcov-jobs", &take(&mut args, "--tcov-jobs")?)?);
-            }
-            "--audit" => opts.audit = true,
-            "--json" => opts.json = true,
-            "--quiet" => opts.quiet = true,
-            "--help" | "-h" => return Err(usage().to_owned()),
-            // A bare `-` is the stdin source, not a flag.
-            other if other.starts_with('-') && other != "-" => {
-                return Err(unknown_flag(other, RUN_FLAGS))
-            }
-            other if opts.source.is_empty() => opts.source = other.to_owned(),
-            other => return Err(unknown_flag(other, RUN_FLAGS)),
-        }
-    }
-    if opts.source.is_empty() {
-        return Err(usage().to_owned());
-    }
-    if !opts.atpg && (opts.fault_sample.is_some() || opts.tcov_jobs.is_some()) {
-        return Err("--fault-sample/--tcov-jobs configure coverage grading; add --atpg".into());
-    }
-    Ok(opts)
-}
-
-fn parse_explore_args(mut args: impl Iterator<Item = String>) -> Result<ExploreOptions, String> {
-    let mut opts = ExploreOptions {
-        sources: Vec::new(),
-        flows: vec![Flow::Ours],
-        ks: vec![3],
-        weights: vec![(2.0, 1.0), (10.0, 1.0), (1.0, 10.0)],
-        bits: vec![8],
-        jobs: 1,
-        warm_start: false,
-        atpg: false,
-        fault_sample: None,
-        journal: None,
-        resume: None,
-        json: false,
-        quiet: false,
-    };
+/// Parse the arguments `run` and `submit` share into the daemon's
+/// `RunRequest` (source as named, stdin not read yet) plus the source
+/// argument as given. `extra` takes the flags only one of the
+/// two subcommands has and returns whether it knew `arg`.
+fn parse_run_request(
+    mut args: impl Iterator<Item = String>,
+    valid: &str,
+    mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+) -> Result<(String, RunRequest), String> {
+    let mut source = String::new();
+    let (mut flow, mut bits, mut atpg) = (Flow::Ours, 8, false);
+    let (mut k, mut alpha, mut beta) = (None, None, None);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--flow" => {
-                opts.flows = parse_list(&take(&mut args, "--flow")?, "--flow", |s| {
-                    Flow::parse(s).ok_or(format!(
-                        "unknown flow `{s}` (expected ours, camad, approach1 or approach2)"
-                    ))
-                })?;
+                let name = take(&mut args, "--flow")?;
+                flow = Flow::parse(&name)
+                    .ok_or_else(|| format!("error: unknown flow `{name}`\n{}", usage()))?;
             }
             "--bits" => {
-                opts.bits = parse_list(&take(&mut args, "--bits")?, "--bits", |s| {
+                bits = take(&mut args, "--bits")?
+                    .parse()
+                    .map_err(|e| format!("--bits: {e}"))?;
+            }
+            "--k" => k = Some(parse_k(&take(&mut args, "--k")?)?),
+            "--alpha" => alpha = Some(parse_weight("--alpha", &take(&mut args, "--alpha")?)?),
+            "--beta" => beta = Some(parse_weight("--beta", &take(&mut args, "--beta")?)?),
+            "--atpg" => atpg = true,
+            "--help" | "-h" => return Err(usage().to_owned()),
+            other if extra(other, &mut args)? => {}
+            // A bare `-` is the stdin source, not a flag.
+            other if other.starts_with('-') && other != "-" => {
+                return Err(unknown_flag(other, valid))
+            }
+            other if source.is_empty() => source = other.to_owned(),
+            other => return Err(unknown_flag(other, valid)),
+        }
+    }
+    if source.is_empty() {
+        return Err(usage().to_owned());
+    }
+    let run = RunRequest {
+        source: SourceRef::named(&source),
+        flow,
+        bits,
+        k,
+        alpha,
+        beta,
+        atpg: atpg.then(AtpgRequest::default),
+    };
+    Ok((source, run))
+}
+
+fn parse_explore_args(mut args: impl Iterator<Item = String>) -> Result<ExploreOptions, String> {
+    let mut sources = Vec::new();
+    let (mut flows, mut ks, mut bits) = (vec![Flow::Ours], vec![3], vec![8]);
+    let mut weights = vec![(2.0, 1.0), (10.0, 1.0), (1.0, 10.0)];
+    let (mut jobs, mut warm_start, mut atpg, mut fault_sample) = (1, false, false, None);
+    let (mut journal, mut resume, mut json, mut quiet) = (None, None, false, false);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--flow" => {
+                flows = parse_list(&take(&mut args, "--flow")?, "--flow", proto::parse_flow)?;
+            }
+            "--bits" => {
+                bits = parse_list(&take(&mut args, "--bits")?, "--bits", |s| {
                     s.parse().map_err(|e| format!("--bits: {e}"))
                 })?;
             }
-            "--k" => opts.ks = parse_list(&take(&mut args, "--k")?, "--k", parse_k)?,
+            "--k" => ks = parse_list(&take(&mut args, "--k")?, "--k", parse_k)?,
             "--weights" => {
-                opts.weights =
+                weights =
                     parse_list(&take(&mut args, "--weights")?, "--weights", |s| {
                         let (a, b) = s.split_once(':').ok_or(format!(
                             "--weights: `{s}` is not an alpha:beta pair"
@@ -349,133 +293,88 @@ fn parse_explore_args(mut args: impl Iterator<Item = String>) -> Result<ExploreO
                     })?;
             }
             "--jobs" => {
-                opts.jobs = parse_positive_count("--jobs", &take(&mut args, "--jobs")?)?;
+                jobs = parse_positive_count("--jobs", &take(&mut args, "--jobs")?)?;
             }
             "--warm-start" => {
-                opts.warm_start = parse_warm_start(&take(&mut args, "--warm-start")?)?;
+                warm_start = parse_warm_start(&take(&mut args, "--warm-start")?)?;
             }
-            "--atpg" => opts.atpg = true,
+            "--atpg" => atpg = true,
             "--fault-sample" => {
-                opts.fault_sample = Some(parse_fault_sample(&take(&mut args, "--fault-sample")?)?);
+                fault_sample = Some(parse_fault_sample(&take(&mut args, "--fault-sample")?)?);
             }
-            "--journal" => opts.journal = Some(take(&mut args, "--journal")?),
-            "--resume" => opts.resume = Some(take(&mut args, "--resume")?),
-            "--json" => opts.json = true,
-            "--quiet" => opts.quiet = true,
+            "--journal" => journal = Some(take(&mut args, "--journal")?),
+            "--resume" => resume = Some(take(&mut args, "--resume")?),
+            "--json" => json = true,
+            "--quiet" => quiet = true,
             "--help" | "-h" => return Err(usage().to_owned()),
             // A bare `-` is the stdin source, not a flag.
             other if other.starts_with('-') && other != "-" => {
                 return Err(unknown_flag(other, EXPLORE_FLAGS))
             }
-            other => opts.sources.push(other.to_owned()),
+            other => sources.push(SourceRef::named(other)),
         }
     }
-    if opts.sources.is_empty() {
+    if sources.is_empty() {
         return Err(usage().to_owned());
     }
-    if opts.journal.is_some() && opts.resume.is_some() {
+    if journal.is_some() && resume.is_some() {
         return Err("use either --journal (start a checkpoint) or --resume (continue one)".into());
     }
-    if !opts.atpg && opts.fault_sample.is_some() {
+    if !atpg && fault_sample.is_some() {
         return Err("--fault-sample configures coverage grading; add --atpg".into());
     }
-    Ok(opts)
+    let job = JobRequest::Explore {
+        sources,
+        flows,
+        ks,
+        weights,
+        bits,
+        jobs,
+        // `--atpg` grades every point: the front becomes Pareto over
+        // measured (coverage, test cycles) as well.
+        atpg: atpg.then(|| AtpgRequest::from_knobs(fault_sample, None)),
+        warm_start,
+    };
+    Ok(ExploreOptions {
+        job,
+        journal,
+        resume,
+        json,
+        quiet,
+    })
 }
 
-fn load(source: &str) -> Result<hlts::dfg::Dfg, String> {
-    if let Some(name) = source.strip_prefix("bench:") {
-        return hlts::benchmarks::by_name(name).ok_or(format!(
-            "unknown benchmark `{name}` (have: {})",
-            hlts::benchmarks::NAMES.join(", ")
-        ));
+/// `-` names stdin: read the graph text here and ship it inline, named
+/// `stdin`, since only this process can read it.
+fn read_stdin(source: &mut SourceRef) -> Result<(), String> {
+    if *source != SourceRef::Path("-".to_owned()) {
+        return Ok(());
     }
-    let text = if source == "-" {
-        // Read the behavior from stdin, so generated workloads pipe
-        // straight through: `hlts gen --seed 7 | hlts run -`.
-        use std::io::Read as _;
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(source).map_err(|e| format!("{source}: {e}"))?
+    let mut text = String::new();
+    std::io::stdin()
+        .read_to_string(&mut text)
+        .map_err(|e| format!("stdin: {e}"))?;
+    *source = SourceRef::Inline {
+        name: "stdin".to_owned(),
+        text,
     };
-    hlts::dfg::parse(&text).map_err(|e| format!("{source}: {e}"))
-}
-
-/// The sweep name of a source: the benchmark name, the graph name for
-/// stdin, or a file's stem.
-fn source_name(source: &str) -> String {
-    if let Some(name) = source.strip_prefix("bench:") {
-        return name.to_owned();
-    }
-    if source == "-" {
-        return "stdin".to_owned();
-    }
-    std::path::Path::new(source)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| source.to_owned())
-}
-
-/// One-shot synthesis through the same [`execute`] path the daemon's
-/// workers use (same parameter derivation, same cancellation
-/// boundaries), so `hlts run` and a served submission are
-/// bit-identical by construction.
-fn synthesize(
-    opts: &RunOptions,
-    dfg: &hlts::dfg::Dfg,
-    ctl: &RunCtl<'_>,
-) -> Result<RunOutput, String> {
-    let Some(flow) = Flow::parse(&opts.flow) else {
-        return Err(format!("unknown flow `{}`\n{}", opts.flow, usage()));
-    };
-    let mut params = flow.paper_defaults(opts.bits);
-    if let Some(k) = opts.k {
-        params.k = k;
-    }
-    if let Some(a) = opts.alpha {
-        params.alpha = a;
-    }
-    if let Some(b) = opts.beta {
-        params.beta = b;
-    }
-    // Coverage grading is part of the job spec, so `hlts run --atpg`
-    // takes the same engine path (and the same cancellation token) as
-    // a daemon submission carrying an `atpg` request.
-    let atpg = opts.atpg.then(|| AtpgRequest {
-        fault_sample: {
-            let n = opts.fault_sample.unwrap_or(DEFAULT_FAULT_SAMPLE);
-            (n > 0).then_some(n)
-        },
-        jobs: opts.tcov_jobs.unwrap_or(1),
-    });
-    let spec = JobSpec::Run {
-        name: source_name(&opts.source),
-        dfg: dfg.clone(),
-        flow,
-        params,
-        mode: EvalMode::default(),
-        warm: None,
-        atpg,
-    };
-    match execute(&spec, ctl, &WarmPool::new(0)) {
-        Ok(JobOutput::Run(out)) => Ok(*out),
-        Ok(_) => Err("internal: run job produced a non-run output".into()),
-        Err(e) => Err(e.to_string()),
-    }
+    Ok(())
 }
 
 /// Hand-rolled machine-readable report of one synthesis run. The
 /// `metrics` object is rendered by the daemon protocol's
 /// [`proto::metrics_json`], so a served result and `hlts run --json`
 /// agree byte-for-byte on that fragment.
-fn run_json(opts: &RunOptions, result: &SynthesisResult, atpg: Option<&CoverageReport>) -> String {
+fn run_json(
+    source: &str,
+    flow: Flow,
+    result: &SynthesisResult,
+    atpg: Option<&CoverageReport>,
+) -> String {
     let mut out = format!(
         "{{\n  \"source\": {}, \"flow\": {},\n  \"metrics\": {},\n  \"merges\": [{}]",
-        dse::json_string(&opts.source),
-        dse::json_string(&opts.flow),
+        dse::json_string(source),
+        dse::json_string(flow.name()),
         proto::metrics_json(&result.metrics),
         result
             .merge_log
@@ -495,13 +394,40 @@ fn run_json(opts: &RunOptions, result: &SynthesisResult, atpg: Option<&CoverageR
     out
 }
 
+/// `hlts run`: resolve and execute the request exactly as a daemon
+/// worker would (same parameter derivation, same cancellation
+/// boundaries), so a one-shot run and a served submission are
+/// bit-identical by construction.
 fn run_main(args: impl Iterator<Item = String>) -> Result<(), String> {
-    let opts = parse_run_args(args)?;
-    let dfg = load(&opts.source).map_err(|e| format!("error: {e}"))?;
+    let (mut fault_sample, mut tcov_jobs) = (None, None);
+    let (mut audit, mut json, mut quiet) = (false, false, false);
+    let (source, mut run) = parse_run_request(args, RUN_FLAGS, |arg, args| {
+        match arg {
+            "--fault-sample" => fault_sample = Some(parse_fault_sample(&take(args, arg)?)?),
+            "--tcov-jobs" => tcov_jobs = Some(parse_positive_count(arg, &take(args, arg)?)?),
+            "--audit" => audit = true,
+            "--json" => json = true,
+            "--quiet" => quiet = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    if run.atpg.is_none() && (fault_sample.is_some() || tcov_jobs.is_some()) {
+        return Err("--fault-sample/--tcov-jobs configure coverage grading; add --atpg".into());
+    }
+    run.atpg = run.atpg.map(|_| AtpgRequest::from_knobs(fault_sample, tcov_jobs));
+    read_stdin(&mut run.source).map_err(|e| format!("error: {e}"))?;
+    let flow = run.flow;
+    let spec = resolve_job(&JobRequest::Run(run), PathSources::Allow)
+        .map_err(|e| format!("error: {e}"))?;
     let ctl = RunCtl::cancel_only(sigint::install());
-    let out = synthesize(&opts, &dfg, &ctl).map_err(|e| format!("error: {e}"))?;
+    let out = match execute(&spec, &ctl, &WarmPool::new(0)) {
+        Ok(JobOutput::Run(out)) => *out,
+        Ok(_) => return Err("internal: run job produced a non-run output".into()),
+        Err(e) => return Err(format!("error: {e}")),
+    };
     let result = out.result;
-    if opts.audit {
+    if audit {
         let state = DesignState::from_parts(
             &result.dfg,
             result.schedule.clone(),
@@ -511,15 +437,15 @@ fn run_main(args: impl Iterator<Item = String>) -> Result<(), String> {
         if !report.is_clean() {
             return Err(format!("error: {report}"));
         }
-        if !opts.json {
+        if !json {
             println!("audit: clean");
         }
     }
-    if opts.json {
-        println!("{}", run_json(&opts, &result, out.coverage.as_ref()));
+    if json {
+        println!("{}", run_json(&source, flow, &result, out.coverage.as_ref()));
         return Ok(());
     }
-    if !opts.quiet {
+    if !quiet {
         println!("{}", result.render());
         for m in &result.merge_log {
             println!("  {m}");
@@ -563,39 +489,19 @@ fn run_main(args: impl Iterator<Item = String>) -> Result<(), String> {
 }
 
 fn explore_main(args: impl Iterator<Item = String>) -> Result<(), String> {
-    let opts = parse_explore_args(args)?;
-    let mut benches = Vec::new();
-    for source in &opts.sources {
-        benches.push((
-            source_name(source),
-            load(source).map_err(|e| format!("error: {e}"))?,
-        ));
+    let mut opts = parse_explore_args(args)?;
+    if let JobRequest::Explore { sources, .. } = &mut opts.job {
+        for source in sources {
+            read_stdin(source).map_err(|e| format!("error: {e}"))?;
+        }
     }
-    let spec = SweepSpec {
-        benches,
-        flows: opts.flows.clone(),
-        ks: opts.ks.clone(),
-        weights: opts.weights.clone(),
-        bits: opts.bits.clone(),
-        extra: Vec::new(),
-        // `--atpg` grades every point: the front becomes Pareto over
-        // measured (coverage, test cycles) as well. The sample size
-        // joins the sweep fingerprint, so journals from plain and
-        // graded sweeps never mix.
-        tcov: opts.atpg.then(|| dse::TcovSweep {
-            fault_sample: opts.fault_sample.unwrap_or(DEFAULT_FAULT_SAMPLE),
-        }),
-        // Warm-start joins the fingerprint too: a trace-bearing
-        // journal cannot resume a legacy (cold) sweep or vice versa.
-        warm_start: opts.warm_start,
-    };
-    let mut cfg = ExploreConfig {
-        jobs: opts.jobs,
-        ..ExploreConfig::default()
+    let mut job = resolve_job(&opts.job, PathSources::Allow).map_err(|e| format!("error: {e}"))?;
+    let JobSpec::Explore { spec, cfg } = &mut job else {
+        return Err("internal: explore request resolved to a non-explore job".into());
     };
     if let Some(path) = &opts.resume {
         let path = std::path::PathBuf::from(path);
-        let scan = dse::load_journal(&path, &spec).map_err(|e| format!("error: {e}"))?;
+        let scan = dse::load_journal(&path, spec).map_err(|e| format!("error: {e}"))?;
         if scan.malformed > 0 {
             eprintln!(
                 "warning: {}: skipped {} malformed journal line(s); \
@@ -630,7 +536,6 @@ fn explore_main(args: impl Iterator<Item = String>) -> Result<(), String> {
     // report below carries the partial front plus a
     // `degraded: cancelled` line instead of dying mid-write.
     let ctl = RunCtl::cancel_only(sigint::install());
-    let job = JobSpec::Explore { spec, cfg };
     let outcome = match execute(&job, &ctl, &WarmPool::new(0)) {
         Ok(JobOutput::Explore(outcome)) => *outcome,
         Ok(_) => return Err("internal: explore job produced a non-explore output".into()),
@@ -827,116 +732,36 @@ fn serve_main(args: impl Iterator<Item = String>) -> Result<(), String> {
     }
 }
 
-struct SubmitOptions {
-    source: String,
-    connect: String,
-    flow: Option<String>,
-    bits: Option<u32>,
-    k: Option<usize>,
-    alpha: Option<f64>,
-    beta: Option<f64>,
-    atpg: bool,
-}
-
-fn parse_submit_args(mut args: impl Iterator<Item = String>) -> Result<SubmitOptions, String> {
-    let mut opts = SubmitOptions {
-        source: String::new(),
-        connect: String::new(),
-        flow: None,
-        bits: None,
-        k: None,
-        alpha: None,
-        beta: None,
-        atpg: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--connect" => opts.connect = take(&mut args, "--connect")?,
-            "--flow" => opts.flow = Some(take(&mut args, "--flow")?),
-            "--bits" => {
-                opts.bits = Some(
-                    take(&mut args, "--bits")?
-                        .parse()
-                        .map_err(|e| format!("--bits: {e}"))?,
-                );
-            }
-            "--k" => opts.k = Some(parse_k(&take(&mut args, "--k")?)?),
-            "--alpha" => opts.alpha = Some(parse_weight("--alpha", &take(&mut args, "--alpha")?)?),
-            "--beta" => opts.beta = Some(parse_weight("--beta", &take(&mut args, "--beta")?)?),
-            "--atpg" => opts.atpg = true,
-            "--help" | "-h" => return Err(usage().to_owned()),
-            // A bare `-` is the stdin source, not a flag.
-            other if other.starts_with('-') && other != "-" => {
-                return Err(unknown_flag(other, SUBMIT_FLAGS))
-            }
-            other if opts.source.is_empty() => opts.source = other.to_owned(),
-            other => return Err(unknown_flag(other, SUBMIT_FLAGS)),
+/// `hlts submit`: one-shot client for a TCP daemon. Sends the run
+/// request `hlts run` would resolve itself; benchmarks pass through as
+/// `bench:NAME`, files and stdin are shipped inline, so the daemon's
+/// filesystem never matters — `hlts gen | hlts submit -` works against
+/// a daemon on another machine. Streams the job's acknowledgement and
+/// event lines to stdout; the exit code reflects how the job ended.
+fn submit_main(args: impl Iterator<Item = String>) -> Result<(), String> {
+    let mut connect = String::new();
+    let (_, mut run) = parse_run_request(args, SUBMIT_FLAGS, |arg, args| {
+        if arg != "--connect" {
+            return Ok(false);
         }
-    }
-    if opts.source.is_empty() {
-        return Err(usage().to_owned());
-    }
-    if opts.connect.is_empty() {
+        connect = take(args, arg)?;
+        Ok(true)
+    })?;
+    if connect.is_empty() {
         return Err("submit needs --connect ADDR (a running `hlts serve --tcp` daemon)".into());
     }
-    Ok(opts)
-}
-
-/// The submit request line for one run job. Benchmarks pass through as
-/// `bench:NAME` references; files and stdin are shipped inline so the
-/// daemon's filesystem never matters — `hlts gen | hlts submit -` works
-/// against a daemon on another machine.
-fn submit_request_line(opts: &SubmitOptions) -> Result<String, String> {
-    let source = if opts.source.starts_with("bench:") {
-        dse::json_string(&opts.source)
-    } else {
-        let text = if opts.source == "-" {
-            use std::io::Read as _;
-            let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("stdin: {e}"))?;
-            buf
-        } else {
-            std::fs::read_to_string(&opts.source).map_err(|e| format!("{}: {e}", opts.source))?
+    read_stdin(&mut run.source)?;
+    // Files travel inline too: a TCP daemon refuses paths.
+    if let SourceRef::Path(path) = &run.source {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        run.source = SourceRef::Inline {
+            name: run.source.name(),
+            text,
         };
-        format!(
-            "{{\"name\": {}, \"dfg\": {}}}",
-            dse::json_string(&source_name(&opts.source)),
-            dse::json_string(&text)
-        )
-    };
-    let mut job = format!("{{\"kind\": \"run\", \"source\": {source}");
-    if let Some(flow) = &opts.flow {
-        job.push_str(&format!(", \"flow\": {}", dse::json_string(flow)));
     }
-    if let Some(bits) = opts.bits {
-        job.push_str(&format!(", \"bits\": {bits}"));
-    }
-    if let Some(k) = opts.k {
-        job.push_str(&format!(", \"k\": {k}"));
-    }
-    if let Some(alpha) = opts.alpha {
-        job.push_str(&format!(", \"alpha\": {alpha}"));
-    }
-    if let Some(beta) = opts.beta {
-        job.push_str(&format!(", \"beta\": {beta}"));
-    }
-    if opts.atpg {
-        job.push_str(", \"atpg\": true");
-    }
-    job.push('}');
-    Ok(format!("{{\"op\": \"submit\", \"id\": \"cli\", \"job\": {job}}}"))
-}
-
-/// `hlts submit`: one-shot client for a TCP daemon. Streams the job's
-/// acknowledgement and event lines to stdout; the exit code reflects
-/// how the job ended.
-fn submit_main(args: impl Iterator<Item = String>) -> Result<(), String> {
-    let opts = parse_submit_args(args)?;
-    let line = submit_request_line(&opts)?;
+    let line = proto::render_run_submit(Some("cli"), &run);
     let mut stdout = std::io::stdout();
-    match submit_once(&opts.connect, &line, &mut stdout).map_err(|e| format!("error: {e}"))? {
+    match submit_once(&connect, &line, &mut stdout).map_err(|e| format!("error: {e}"))? {
         ClientEnd::Done => Ok(()),
         ClientEnd::Failed => Err("error: job failed (see the failed event above)".into()),
         ClientEnd::Cancelled => Err("error: job was cancelled".into()),

@@ -478,3 +478,119 @@ fn explore_rejects_journal_plus_resume() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("either --journal"), "{err}");
 }
+
+/// A zero-width data path prices every design at H = 0; `run` and
+/// `explore` refuse it before any synthesis.
+#[test]
+fn zero_bits_is_rejected() {
+    let cases: [&[&str]; 3] = [
+        &["bench:ex", "--bits", "0"],
+        &["bench:ex", "--bits", "0", "--atpg", "--fault-sample", "100"],
+        &["explore", "bench:ex", "--bits", "8,0"],
+    ];
+    for args in cases {
+        let out = hlts().args(args).output().expect("binary runs");
+        assert!(!out.status.success(), "{args:?} accepted: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bits must be >= 1"), "{args:?}: {err}");
+    }
+}
+
+/// The `metrics`, `merges` and `coverage` a run reports, as JSON values.
+fn run_fields(result: &hlts::jobs::json::Json) -> Vec<Option<hlts::jobs::json::Json>> {
+    ["metrics", "merges", "coverage"]
+        .iter()
+        .map(|key| result.get(key).cloned())
+        .collect()
+}
+
+/// `hlts submit` against a live `hlts serve --tcp` daemon answers with
+/// exactly what `hlts run --json` prints for the same request: the
+/// bench path with overrides and grading, and a generated graph piped
+/// through stdin.
+#[test]
+fn submit_matches_a_one_shot_run() {
+    use hlts::jobs::json::{self, Json};
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::process::Stdio;
+
+    /// Stops the daemon even when an assertion fails first.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut daemon = Daemon(
+        hlts()
+            .args(["serve", "--tcp", "127.0.0.1:0", "--workers", "2"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("binary spawns"),
+    );
+    let mut banner = String::new();
+    BufReader::new(daemon.0.stdout.take().expect("piped stdout"))
+        .read_line(&mut banner)
+        .expect("read banner");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
+        .to_owned();
+
+    let graph = hlts().args(["gen", "--seed", "3"]).output().expect("binary runs");
+    assert!(graph.status.success(), "{graph:?}");
+    // Start `hlts` with `args`, feeding `input` on stdin when given.
+    let spawn = |args: &[&str], input: Option<&[u8]>| {
+        let mut child = hlts()
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary spawns");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        if let Some(input) = input {
+            stdin.write_all(input).expect("feed stdin");
+        }
+        child
+    };
+    let finish = |child: std::process::Child| {
+        let out = child.wait_with_output().expect("binary runs");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).expect("utf8 output")
+    };
+    // 4 bits keeps the graded case quick in debug builds.
+    let cases: [(&[&str], Option<&[u8]>); 2] = [
+        (&["bench:ex", "--bits", "4", "--k", "2", "--alpha", "2.5", "--atpg"], None),
+        (&["-"], Some(&graph.stdout)),
+    ];
+    for (args, input) in cases {
+        // The daemon and the one-shot run grade side by side.
+        let submit = spawn(&[&["submit"], args, &["--connect", &addr]].concat(), input);
+        let local = spawn(&[args, &["--json"]].concat(), input);
+        let submitted = finish(submit);
+        let done = submitted
+            .lines()
+            .map(|line| json::parse(line).expect("JSON line"))
+            .find(|doc| doc.get("event").and_then(Json::as_str) == Some("done"))
+            .unwrap_or_else(|| panic!("no done event: {submitted}"));
+        let served = run_fields(done.get("result").expect("result"));
+        let mut local = json::parse(&finish(local)).expect("JSON");
+        // `run --json` names the coverage object `atpg`.
+        if let Json::Obj(fields) = &mut local {
+            for (key, _) in fields.iter_mut().filter(|(key, _)| key == "atpg") {
+                *key = "coverage".to_owned();
+            }
+        }
+        assert_eq!(served, run_fields(&local), "{args:?}");
+        assert_eq!(served[2].is_some(), args.contains(&"--atpg"), "{args:?}");
+    }
+
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    writeln!(stream, r#"{{"op":"shutdown"}}"#).expect("send shutdown");
+    let status = daemon.0.wait().expect("daemon exits");
+    assert!(status.success(), "{status:?}");
+}
