@@ -16,6 +16,21 @@ find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
   !test { n++ }
   END { print "production lines: " n }'
 
+echo "==> one JSON writer: no hand-escaped JSON keys outside crates/json"
+# JSON is written only through hlts_json::Obj; an escaped-quote key
+# (\"name\": ) in production code (the line-count rule above) or in a
+# bench is a second, hand-rolled writer.
+JSON_KEYS=$(find crates/*/src src crates/bench/benches -name '*.rs' -not -path 'crates/json/*' \
+  -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { test = 0 }
+  /^#\[cfg\(test\)\]/ { test = 1 }
+  !test && /\\"[A-Za-z_][A-Za-z0-9_]*\\": / { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$JSON_KEYS" ]; then
+  echo "hand-built JSON outside crates/json (use hlts_json::Obj):" >&2
+  echo "$JSON_KEYS" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 

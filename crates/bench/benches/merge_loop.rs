@@ -23,6 +23,7 @@ use std::cell::Cell;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hlts_core::{oracle, trial_merge, DesignState, MergeKind, OrderStrategy};
 use hlts_dfg::Dfg;
+use hlts_json::Obj;
 
 /// The strategy Algorithm 1 runs with.
 const STRATEGY: OrderStrategy = OrderStrategy::CoEnhancement;
@@ -378,30 +379,29 @@ fn emit_arena_json(c: &mut Criterion) {
     let clone = c
         .median_ns(&format!("merge_loop/clone/{largest}"))
         .expect("clone ran");
-    let mut rows = String::new();
+    let mut rows = Vec::new();
     for (name, dfg) in hlts_benchmarks::all() {
         let Some((med, allocs, bytes, cands)) = forced_trial_stats(&dfg) else {
             println!("BENCH_arena: {name}: no forced candidates, skipped");
             continue;
         };
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"benchmark\": \"{name}\", \"forced_trial_median_ns\": {med:.1}, \
-             \"allocs_per_trial\": {allocs}, \"bytes_per_trial\": {bytes}, \
-             \"candidates\": {cands}}}"
-        ));
+        rows.push(
+            Obj::new()
+                .with("benchmark", name)
+                .with("forced_trial_median_ns", med)
+                .with("allocs_per_trial", allocs)
+                .with("bytes_per_trial", bytes)
+                .with("candidates", cands),
+        );
     }
-    let json = format!(
-        "{{\n  \"pinned_pre_arena_txn_ns\": {PRE_ARENA_TXN_NS},\n  \
-         \"txn_trial_median_ns\": {txn:.1},\n  \
-         \"clone_trial_median_ns\": {clone:.1},\n  \
-         \"speedup_vs_pre_arena\": {:.2},\n  \
-         \"largest_benchmark\": \"{largest}\",\n  \
-         \"steady_state\": [\n{rows}\n  ]\n}}\n",
-        PRE_ARENA_TXN_NS / txn
-    );
+    let json = Obj::new()
+        .with("pinned_pre_arena_txn_ns", PRE_ARENA_TXN_NS)
+        .with("txn_trial_median_ns", txn)
+        .with("clone_trial_median_ns", clone)
+        .with("speedup_vs_pre_arena", PRE_ARENA_TXN_NS / txn)
+        .with("largest_benchmark", largest)
+        .with("steady_state", rows)
+        .document();
     let path = "BENCH_arena.json";
     std::fs::write(path, &json).expect("write BENCH_arena.json");
     println!("wrote {path}");

@@ -29,6 +29,7 @@ use std::time::Instant;
 use hlts_core::{CancelToken, EvalMode, NullSink, RunCtl, SynthesisParams};
 use hlts_dse::Flow;
 use hlts_jobs::{execute, proto, JobOutput, JobSpec, WarmPool};
+use hlts_json::Obj;
 
 const SPEEDUP_GATE: f64 = 2.0;
 /// Timed requests per path (medians of small odd samples are robust).
@@ -170,15 +171,15 @@ fn main() {
         cold / context,
     );
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"{name}\",\n  \"requests_per_path\": {REQUESTS},\n  \
-         \"cold_median_ms\": {:.3},\n  \"warm_median_ms\": {:.3},\n  \
-         \"context_warm_median_ms\": {:.3},\n  \
-         \"warm_speedup\": {speedup:.2},\n  \"speedup_gate\": {SPEEDUP_GATE}\n}}\n",
-        cold * 1e3,
-        warm * 1e3,
-        context * 1e3,
-    );
+    let json = Obj::new()
+        .with("benchmark", name)
+        .with("requests_per_path", REQUESTS)
+        .with("cold_median_ms", cold * 1e3)
+        .with("warm_median_ms", warm * 1e3)
+        .with("context_warm_median_ms", context * 1e3)
+        .with("warm_speedup", speedup)
+        .with("speedup_gate", SPEEDUP_GATE)
+        .document();
     let path = "BENCH_serve.json";
     std::fs::write(path, &json).expect("write BENCH_serve.json");
     println!("wrote {path}");

@@ -22,6 +22,7 @@ use std::time::Instant;
 
 use hlts_core::{IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts_etpn::Etpn;
+use hlts_json::Obj;
 use hlts_netlist::{elaborate, Netlist};
 use hlts_tcov::{grade, CoverageReport, TcovConfig};
 
@@ -120,18 +121,20 @@ fn main() {
         );
     }
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"{name}\",\n  \"gates\": {},\n  \
-         \"faults_graded\": {},\n  \"coverage_pct\": {:.2},\n  \
-         \"serial_secs\": {serial_secs:.3},\n  \
-         \"parallel_secs\": {parallel_secs:.3},\n  \
-         \"parallel_jobs\": {PARALLEL_JOBS},\n  \"speedup\": {speedup:.2},\n  \
-         \"speedup_gate\": {SPEEDUP_GATE},\n  \"gate_applied\": {gated},\n  \
-         \"cpus\": {cpus},\n  \"bit_identical\": true\n}}\n",
-        serial.gates,
-        serial.faults_graded,
-        serial.coverage(),
-    );
+    let json = Obj::new()
+        .with("benchmark", name)
+        .with("gates", serial.gates)
+        .with("faults_graded", serial.faults_graded)
+        .with("coverage_pct", serial.coverage())
+        .with("serial_secs", serial_secs)
+        .with("parallel_secs", parallel_secs)
+        .with("parallel_jobs", PARALLEL_JOBS)
+        .with("speedup", speedup)
+        .with("speedup_gate", SPEEDUP_GATE)
+        .with("gate_applied", gated)
+        .with("cpus", cpus)
+        .with("bit_identical", true)
+        .document();
     let path = "BENCH_tcov.json";
     std::fs::write(path, &json).expect("write BENCH_tcov.json");
     println!("wrote {path}");

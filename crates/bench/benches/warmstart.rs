@@ -24,6 +24,7 @@
 use std::time::Instant;
 
 use hlts_dse::{explore, ExploreConfig, ExploreOutcome, SweepSpec};
+use hlts_json::Obj;
 
 const SPEEDUP_GATE: f64 = 1.5;
 /// Dense α sweep at two β values: neighbours differ by 0.01 in α, so
@@ -120,16 +121,18 @@ fn main() {
     );
     println!("acceptance: warm sweep >= {SPEEDUP_GATE}x cold on {name} — OK ({speedup:.2}x)");
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"{name}\",\n  \"points\": {points},\n  \
-         \"cold_secs\": {cold_secs:.3},\n  \"warm_secs\": {warm_secs:.3},\n  \
-         \"merges_replayed\": {},\n  \"merges_recomputed\": {},\n  \
-         \"speedup\": {speedup:.2},\n  \"speedup_gate\": {SPEEDUP_GATE},\n  \
-         \"front_size\": {},\n  \"bit_identical\": true\n}}\n",
-        warm.stats.merges_replayed,
-        warm.stats.merges_recomputed,
-        warm.front.len(),
-    );
+    let json = Obj::new()
+        .with("benchmark", name)
+        .with("points", points)
+        .with("cold_secs", cold_secs)
+        .with("warm_secs", warm_secs)
+        .with("merges_replayed", warm.stats.merges_replayed)
+        .with("merges_recomputed", warm.stats.merges_recomputed)
+        .with("speedup", speedup)
+        .with("speedup_gate", SPEEDUP_GATE)
+        .with("front_size", warm.front.len())
+        .with("bit_identical", true)
+        .document();
     let path = "BENCH_warmstart.json";
     std::fs::write(path, &json).expect("write BENCH_warmstart.json");
     println!("wrote {path}");

@@ -62,6 +62,7 @@ pub use runner::{
 pub use spec::{Flow, PointParams, SweepPoint, SweepSpec, TcovSweep, TRACE_SCHEMA};
 
 use hlts_core::CoreError;
+use hlts_json::Obj;
 
 /// Errors of the exploration subsystem.
 #[derive(Debug)]
@@ -276,144 +277,54 @@ impl ExploreOutcome {
         out
     }
 
-    /// Render the outcome as machine-readable JSON (hand-rolled, no
-    /// serde; floats in shortest round-trip format — NaN/∞ cannot
-    /// occur because specs reject non-finite weights and every metric
-    /// is finite by construction).
+    /// Render the outcome as machine-readable JSON: the
+    /// [`document`](Obj::document) layout, floats in shortest
+    /// round-trip format.
     #[must_use]
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"points\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let o = &r.objectives;
-            // Present only on graded sweeps, so plain output stays
-            // byte-identical to earlier versions.
-            let test = o
-                .test
-                .map(|t| {
-                    format!(
-                        " \"coverage\": {:?}, \"test_cycles\": {},",
-                        t.coverage, t.test_cycles
-                    )
-                })
-                .unwrap_or_default();
-            // Like `test`: present only on warm-start sweeps.
-            let replay = r
-                .replay
-                .map(|(rep, rec)| format!(" \"replayed\": {rep}, \"recomputed\": {rec},"))
-                .unwrap_or_default();
-            out.push_str(&format!(
-                "    {{\"id\": {}, \"bench\": {}, \"flow\": \"{}\", \"k\": {}, \
-                 \"alpha\": {:?}, \"beta\": {:?}, \"bits\": {}, \"E\": {}, \"H\": {:?}, \
-                 \"modules\": {}, \"registers\": {}, \"muxes\": {}, \
-                 \"avg_controllability\": {:?}, \"avg_observability\": {:?}, \
-                 \"co_depth\": {:?},{test}{replay} \"millis\": {}, \"resumed\": {}, \"on_front\": {}}}{}\n",
-                r.id,
-                json_string(&r.params.bench),
-                r.params.flow,
-                r.params.k,
-                r.params.alpha,
-                r.params.beta,
-                r.params.bits,
-                o.execution_time,
-                o.hardware,
-                r.modules,
-                r.registers,
-                r.muxes,
-                o.avg_controllability,
-                o.avg_observability,
-                o.co_depth,
-                r.millis,
-                r.resumed,
-                self.front.iter().any(|f| f.id == r.id),
-                if i + 1 == self.results.len() { "" } else { "," },
-            ));
-        }
-        let front_ids: Vec<String> = self.front.iter().map(|r| r.id.to_string()).collect();
-        let failures: Vec<String> = self
-            .failures
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"id\": {}, \"message\": {}}}",
-                    f.id,
-                    json_string(&f.message)
-                )
-            })
+        // Graded and warm-start sweeps add keys; plain output keeps the
+        // keys it always had.
+        let points: Vec<Obj> = self.results.iter().map(|r| {
+            let (o, p) = (&r.objectives, &r.params);
+            Obj::new().with("id", r.id).with("bench", &p.bench).with("flow", p.flow.name())
+                .with("k", p.k).with("alpha", p.alpha).with("beta", p.beta).with("bits", p.bits)
+                .with("E", o.execution_time).with("H", o.hardware).with("modules", r.modules)
+                .with("registers", r.registers).with("muxes", r.muxes)
+                .with("avg_controllability", o.avg_controllability)
+                .with("avg_observability", o.avg_observability).with("co_depth", o.co_depth)
+                .with_some("coverage", o.test.map(|t| t.coverage))
+                .with_some("test_cycles", o.test.map(|t| t.test_cycles))
+                .with_some("replayed", r.replay.map(|(replayed, _)| replayed))
+                .with_some("recomputed", r.replay.map(|(_, recomputed)| recomputed))
+                .with("millis", r.millis).with("resumed", r.resumed)
+                .with("on_front", self.front.iter().any(|f| f.id == r.id))
+        }).collect();
+        let failures: Vec<Obj> = self.failures.iter()
+            .map(|f| Obj::new().with("id", f.id).with("message", &f.message))
             .collect();
         let s = &self.stats;
-        // Stats keys gated like the per-point pair: cold JSON stays
-        // byte-identical.
-        let warm_stats = if self.results.iter().any(|r| r.replay.is_some()) {
-            format!(
-                "\"merges_replayed\": {}, \"merges_recomputed\": {}, ",
-                s.merges_replayed, s.merges_recomputed
-            )
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "  ],\n  \"front\": [{}],\n  \"failures\": [{}],\n  \"stats\": {{\"points_total\": {}, \
-             \"points_computed\": {}, \"points_resumed\": {}, \"points_failed\": {}, \
-             \"points_cancelled\": {}, \
-             \"journal_malformed\": {}, \"journal_torn_tail\": {}, {warm_stats}\"workers\": {}, \
-             \"wall_millis\": {}, \"compute_millis\": {}, \
-             \"testability\": {{\"hits\": {}, \"misses\": {}, \"incremental\": {}, \
-             \"full\": {}}}, \"eval\": {{\"state_hits\": {}, \"state_misses\": {}}}, \
-             \"txn\": {{\"begun\": {}, \"committed\": {}, \"rolled_back\": {}}}}}\n}}\n",
-            front_ids.join(", "),
-            failures.join(", "),
-            s.points_total,
-            s.points_computed,
-            s.points_resumed,
-            s.points_failed,
-            s.points_cancelled,
-            s.journal_malformed,
-            s.journal_torn_tail,
-            s.workers,
-            s.wall_millis,
-            s.compute_millis,
-            s.testability.hits,
-            s.testability.misses,
-            s.testability.incremental,
-            s.testability.full,
-            s.eval.state_hits,
-            s.eval.state_misses,
-            s.txn.begun,
-            s.txn.committed,
-            s.txn.rolled_back,
-        ));
-        out
+        let warm = self.results.iter().any(|r| r.replay.is_some());
+        let testability = Obj::new().with("hits", s.testability.hits)
+            .with("misses", s.testability.misses).with("incremental", s.testability.incremental)
+            .with("full", s.testability.full);
+        let eval = Obj::new().with("state_hits", s.eval.state_hits)
+            .with("state_misses", s.eval.state_misses);
+        let txn = Obj::new().with("begun", s.txn.begun).with("committed", s.txn.committed)
+            .with("rolled_back", s.txn.rolled_back);
+        let stats = Obj::new().with("points_total", s.points_total)
+            .with("points_computed", s.points_computed).with("points_resumed", s.points_resumed)
+            .with("points_failed", s.points_failed).with("points_cancelled", s.points_cancelled)
+            .with("journal_malformed", s.journal_malformed)
+            .with("journal_torn_tail", s.journal_torn_tail)
+            .with_some("merges_replayed", warm.then_some(s.merges_replayed))
+            .with_some("merges_recomputed", warm.then_some(s.merges_recomputed))
+            .with("workers", s.workers).with("wall_millis", s.wall_millis)
+            .with("compute_millis", s.compute_millis).with("testability", testability)
+            .with("eval", eval).with("txn", txn);
+        let front: Vec<usize> = self.front.iter().map(|r| r.id).collect();
+        Obj::new().with("points", points).with("front", front).with("failures", failures)
+            .with("stats", stats).document()
     }
 }
 
-/// Quote and escape a string for JSON output.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-}
+pub use hlts_json::quote as json_string;

@@ -18,8 +18,6 @@
 //!   and the warm pool they execute against);
 //! * [`serve`] — the line-delimited JSON daemon (stdin or TCP) and
 //!   the `hlts submit` client, speaking the [`proto`] protocol;
-//! * [`json`] — the from-scratch JSON reader the protocol needs (the
-//!   workspace has no serde by design).
 //!
 //! Determinism contract: a job whose token never fires is
 //! **bit-identical** to the same work run without the engine — the
@@ -64,7 +62,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod engine;
-pub mod json;
 pub mod proto;
 mod resolve;
 pub mod serve;
@@ -76,3 +73,5 @@ pub use engine::{
 };
 pub use resolve::{resolve_job, PathSources};
 pub use serve::{serve_lines, serve_tcp, submit_once, ClientEnd, ServeConfig};
+/// The workspace JSON module ([`hlts_json`]), also reachable at this path.
+pub use hlts_json as json;

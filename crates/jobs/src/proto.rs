@@ -4,11 +4,10 @@
 //! per-job event lines. This module is pure data: it parses request
 //! lines into [`Request`] values, renders a run submission
 //! ([`render_run_submit`], what `hlts submit` sends), and renders
-//! responses/events as single-line JSON strings (hand-rolled, like
-//! every other JSON emitter in the workspace — see
-//! [`hlts_dse::json_string`]). Requests become executable specs in
-//! [`crate::resolve_job`]; the I/O and engine wiring live in
-//! [`crate::serve`].
+//! responses/events as single-line JSON strings (the
+//! [`line`](hlts_json::Obj::line) layout of [`hlts_json`]). Requests
+//! become executable specs in [`crate::resolve_job`]; the I/O and
+//! engine wiring live in [`crate::serve`].
 //!
 //! # Requests
 //!
@@ -46,11 +45,11 @@
 
 use hlts_core::{DesignMetrics, ProgressEvent, SynthesisResult};
 use hlts_dfg::SymStats;
-use hlts_dse::{json_string, ExploreOutcome, Flow};
+use hlts_dse::{ExploreOutcome, Flow};
 use hlts_tcov::CoverageReport;
 
 use crate::engine::{AtpgRequest, CancelOutcome, EngineCounts, JobEvent, JobId, JobOutput, RunOutput};
-use crate::json::{self, Json};
+use hlts_json::{self as json, Json, Obj};
 
 /// A reference to a behavior source, loaded by [`crate::resolve_job`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -478,8 +477,9 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
     }
 }
 
-fn id_field(id: Option<&str>) -> String {
-    id.map_or_else(String::new, |id| format!("\"id\": {}, ", json_string(id)))
+/// The start of every response: `ok`, then the client id if any.
+fn reply(ok: bool, id: Option<&str>) -> Obj {
+    Obj::new().with("ok", ok).with_some("id", id)
 }
 
 /// The `submit` line of one run job, which [`parse_request`] reads
@@ -487,51 +487,32 @@ fn id_field(id: Option<&str>) -> String {
 /// form).
 #[must_use]
 pub fn render_run_submit(id: Option<&str>, run: &RunRequest) -> String {
-    let source = match &run.source {
-        SourceRef::Bench(name) => json_string(&format!("bench:{name}")),
-        SourceRef::Path(path) => json_string(path),
-        SourceRef::Inline { name, text } => format!(
-            "{{\"name\": {}, \"dfg\": {}}}",
-            json_string(name),
-            json_string(text)
-        ),
-    };
-    let mut job = format!(
-        "{{\"kind\": \"run\", \"source\": {source}, \"flow\": \"{}\", \"bits\": {}",
-        run.flow, run.bits
-    );
-    if let Some(k) = run.k {
-        job.push_str(&format!(", \"k\": {k}"));
-    }
-    for (key, weight) in [("alpha", run.alpha), ("beta", run.beta)] {
-        if let Some(w) = weight {
-            job.push_str(&format!(", \"{key}\": {w:?}"));
+    let job = Obj::new().with("kind", "run");
+    let job = match &run.source {
+        SourceRef::Bench(name) => job.with("source", format!("bench:{name}")),
+        SourceRef::Path(path) => job.with("source", path),
+        SourceRef::Inline { name, text } => {
+            job.with("source", Obj::new().with("name", name).with("dfg", text))
         }
-    }
-    if let Some(a) = run.atpg {
-        job.push_str(&format!(
-            ", \"atpg\": {{\"fault_sample\": {}, \"jobs\": {}}}",
-            a.fault_sample.unwrap_or(0),
-            a.jobs
-        ));
-    }
-    format!("{{{}\"op\": \"submit\", \"job\": {job}}}}}", id_field(id))
+    };
+    let atpg = run.atpg.map(|a| {
+        Obj::new().with("fault_sample", a.fault_sample.unwrap_or(0)).with("jobs", a.jobs)
+    });
+    let job = job.with("flow", run.flow.name()).with("bits", run.bits).with_some("k", run.k)
+        .with_some("alpha", run.alpha).with_some("beta", run.beta).with_some("atpg", atpg);
+    Obj::new().with_some("id", id).with("op", "submit").with("job", job).line()
 }
 
 /// `{"ok":true,...}` submit acknowledgement with the engine job id.
 #[must_use]
 pub fn render_submit_ok(id: Option<&str>, job: JobId) -> String {
-    format!("{{\"ok\": true, {}\"job\": {job}}}", id_field(id))
+    reply(true, id).with("job", job).line()
 }
 
 /// `{"ok":false,...}` error response (also the malformed-line answer).
 #[must_use]
 pub fn render_error(id: Option<&str>, message: &str) -> String {
-    format!(
-        "{{\"ok\": false, {}\"error\": {}}}",
-        id_field(id),
-        json_string(message)
-    )
+    reply(false, id).with("error", message).line()
 }
 
 /// `{"ok":true,...}` status snapshot: engine counters, warm-cache and
@@ -539,121 +520,82 @@ pub fn render_error(id: Option<&str>, message: &str) -> String {
 #[must_use]
 pub fn render_status(
     id: Option<&str>,
-    counts: &EngineCounts,
+    c: &EngineCounts,
     malformed: u64,
     sym: SymStats,
 ) -> String {
-    format!(
-        "{{\"ok\": true, {}\"status\": {{\
-         \"jobs\": {{\"queued\": {}, \"running\": {}, \"done\": {}, \"failed\": {}, \
-         \"cancelled\": {}}}, \
-         \"workers\": {}, \"queue_capacity\": {}, \
-         \"warm\": {{\"hits\": {}, \"misses\": {}}}, \
-         \"explore_replay\": {{\"merges_replayed\": {}, \"merges_recomputed\": {}}}, \
-         \"tcov\": {{\"ctx_hits\": {}, \"ctx_misses\": {}, \
-         \"report_hits\": {}, \"report_misses\": {}}}, \
-         \"malformed_requests\": {malformed}, \
-         \"interner\": {{\"count\": {}, \"bytes\": {}}}}}}}",
-        id_field(id),
-        counts.queued,
-        counts.running,
-        counts.done,
-        counts.failed,
-        counts.cancelled,
-        counts.workers,
-        counts.queue_capacity,
-        counts.warm_hits,
-        counts.warm_misses,
-        counts.merges_replayed,
-        counts.merges_recomputed,
-        counts.tcov.ctx_hits,
-        counts.tcov.ctx_misses,
-        counts.tcov.report_hits,
-        counts.tcov.report_misses,
-        sym.count,
-        sym.bytes,
-    )
+    let jobs = Obj::new().with("queued", c.queued).with("running", c.running)
+        .with("done", c.done).with("failed", c.failed).with("cancelled", c.cancelled);
+    let warm = Obj::new().with("hits", c.warm_hits).with("misses", c.warm_misses);
+    let replay = Obj::new().with("merges_replayed", c.merges_replayed)
+        .with("merges_recomputed", c.merges_recomputed);
+    let tcov = Obj::new().with("ctx_hits", c.tcov.ctx_hits).with("ctx_misses", c.tcov.ctx_misses)
+        .with("report_hits", c.tcov.report_hits).with("report_misses", c.tcov.report_misses);
+    let status = Obj::new().with("jobs", jobs).with("workers", c.workers)
+        .with("queue_capacity", c.queue_capacity).with("warm", warm)
+        .with("explore_replay", replay).with("tcov", tcov).with("malformed_requests", malformed)
+        .with("interner", Obj::new().with("count", sym.count).with("bytes", sym.bytes));
+    reply(true, id).with("status", status).line()
 }
 
 /// `{"ok":true,...}` cancel acknowledgement.
 #[must_use]
 pub fn render_cancel(id: Option<&str>, job: JobId, outcome: CancelOutcome) -> String {
-    format!(
-        "{{\"ok\": true, {}\"job\": {job}, \"cancel\": {}}}",
-        id_field(id),
-        json_string(outcome.name()),
-    )
+    reply(true, id).with("job", job).with("cancel", outcome.name()).line()
 }
 
 /// `{"ok":true,...}` shutdown acknowledgement.
 #[must_use]
 pub fn render_shutdown(id: Option<&str>) -> String {
-    format!("{{\"ok\": true, {}\"shutdown\": true}}", id_field(id))
+    reply(true, id).with("shutdown", true).line()
 }
 
-/// The metrics object of one synthesis result — the exact shape
-/// `hlts run --json` prints, so daemon results and one-shot results
-/// compare with plain string equality.
+/// The metrics object of one synthesis result, also printed by `hlts
+/// run --json`, so daemon and one-shot results compare equal.
+#[must_use]
+pub fn metrics_obj(m: &DesignMetrics) -> Obj {
+    Obj::new().with("execution_time", m.execution_time).with("modules", m.num_modules)
+        .with("registers", m.num_registers).with("muxes", m.mux_count)
+        .with("self_loops", m.self_loops).with("hardware", m.hardware.total())
+        .with("avg_controllability", m.avg_controllability)
+        .with("avg_observability", m.avg_observability).with("co_depth", m.co_depth)
+}
+
+/// [`metrics_obj`] on one line.
 #[must_use]
 pub fn metrics_json(m: &DesignMetrics) -> String {
-    format!(
-        "{{\"execution_time\": {}, \"modules\": {}, \"registers\": {}, \"muxes\": {}, \
-         \"self_loops\": {}, \"hardware\": {:?}, \"avg_controllability\": {:?}, \
-         \"avg_observability\": {:?}, \"co_depth\": {:?}}}",
-        m.execution_time,
-        m.num_modules,
-        m.num_registers,
-        m.mux_count,
-        m.self_loops,
-        m.hardware.total(),
-        m.avg_controllability,
-        m.avg_observability,
-        m.co_depth,
-    )
+    metrics_obj(m).line()
 }
 
 /// One run result as a single-line JSON object (metrics + merge log).
 #[must_use]
 pub fn run_result_json(result: &SynthesisResult) -> String {
-    format!("{{{}}}", run_fields(result))
+    run_obj(result, None).line()
 }
 
-fn run_fields(result: &SynthesisResult) -> String {
-    format!(
-        "\"metrics\": {}, \"merges\": [{}]",
-        metrics_json(&result.metrics),
-        result
-            .merge_log
-            .iter()
-            .map(|s| json_string(s))
-            .collect::<Vec<_>>()
-            .join(", "),
-    )
+/// Metrics and merge log, plus a `"coverage"` object when graded.
+fn run_obj(result: &SynthesisResult, coverage: Option<&CoverageReport>) -> Obj {
+    Obj::new().with("metrics", metrics_obj(&result.metrics)).with("merges", &result.merge_log)
+        .with_some("coverage", coverage.map(coverage_obj))
 }
 
-/// One coverage report as a single-line JSON object. `faults_graded`
-/// vs `total_collapsed` distinguishes a sampled estimate from an
-/// exhaustive grade — both are always reported.
+/// One coverage report (`hlts run --atpg --json` prints it as `"atpg"`):
+/// `faults_graded` vs `total_collapsed` tells a sample from a full grade.
+#[must_use]
+pub fn coverage_obj(r: &CoverageReport) -> Obj {
+    Obj::new().with("gates", r.gates).with("coverage", r.coverage())
+        .with("efficiency", r.efficiency()).with("faults_graded", r.faults_graded)
+        .with("total_collapsed", r.total_collapsed).with("total_uncollapsed", r.total_uncollapsed)
+        .with("detected_random", r.detected_random)
+        .with("detected_deterministic", r.detected_deterministic)
+        .with("untestable", r.untestable).with("aborted", r.aborted)
+        .with("test_cycles", r.test_cycles).with("random_patterns", r.random_patterns)
+}
+
+/// [`coverage_obj`] on one line.
 #[must_use]
 pub fn coverage_json(r: &CoverageReport) -> String {
-    format!(
-        "{{\"gates\": {}, \"coverage\": {:?}, \"efficiency\": {:?}, \"faults_graded\": {}, \
-         \"total_collapsed\": {}, \"total_uncollapsed\": {}, \"detected_random\": {}, \
-         \"detected_deterministic\": {}, \"untestable\": {}, \"aborted\": {}, \
-         \"test_cycles\": {}, \"random_patterns\": {}}}",
-        r.gates,
-        r.coverage(),
-        r.efficiency(),
-        r.faults_graded,
-        r.total_collapsed,
-        r.total_uncollapsed,
-        r.detected_random,
-        r.detected_deterministic,
-        r.untestable,
-        r.aborted,
-        r.test_cycles,
-        r.random_patterns,
-    )
+    coverage_obj(r).line()
 }
 
 /// A run job's full payload: [`run_result_json`] plus a `"coverage"`
@@ -661,14 +603,7 @@ pub fn coverage_json(r: &CoverageReport) -> String {
 /// byte-identical to the pre-coverage protocol.
 #[must_use]
 pub fn run_output_json(out: &RunOutput) -> String {
-    match &out.coverage {
-        None => run_result_json(&out.result),
-        Some(report) => format!(
-            "{{{}, \"coverage\": {}}}",
-            run_fields(&out.result),
-            coverage_json(report)
-        ),
-    }
+    run_obj(&out.result, out.coverage.as_ref()).line()
 }
 
 /// One explore outcome as a single-line JSON summary. The
@@ -678,75 +613,51 @@ pub fn run_output_json(out: &RunOutput) -> String {
 /// sweeps stay byte-identical to the pre-warm-start protocol.
 #[must_use]
 pub fn explore_result_json(outcome: &ExploreOutcome) -> String {
-    let s = &outcome.stats;
-    let warm = if outcome.results.iter().any(|r| r.replay.is_some()) {
-        format!(
-            ", \"merges_replayed\": {}, \"merges_recomputed\": {}",
-            s.merges_replayed, s.merges_recomputed
-        )
-    } else {
-        String::new()
-    };
-    format!(
-        "{{\"front_signature\": {}, \"front_size\": {}, \"points_total\": {}, \
-         \"points_computed\": {}, \"points_resumed\": {}, \"points_failed\": {}, \
-         \"points_cancelled\": {}{warm}}}",
-        json_string(&outcome.front_signature()),
-        outcome.front.len(),
-        s.points_total,
-        s.points_computed,
-        s.points_resumed,
-        s.points_failed,
-        s.points_cancelled,
-    )
+    explore_obj(outcome).line()
 }
 
-fn output_json(output: &JobOutput) -> String {
+fn explore_obj(outcome: &ExploreOutcome) -> Obj {
+    let s = &outcome.stats;
+    let warm = outcome.results.iter().any(|r| r.replay.is_some());
+    Obj::new().with("front_signature", outcome.front_signature())
+        .with("front_size", outcome.front.len()).with("points_total", s.points_total)
+        .with("points_computed", s.points_computed).with("points_resumed", s.points_resumed)
+        .with("points_failed", s.points_failed).with("points_cancelled", s.points_cancelled)
+        .with_some("merges_replayed", warm.then_some(s.merges_replayed))
+        .with_some("merges_recomputed", warm.then_some(s.merges_recomputed))
+}
+
+fn output_obj(output: &JobOutput) -> Obj {
     match output {
-        JobOutput::Run(r) => run_output_json(r),
-        JobOutput::Explore(o) => explore_result_json(o),
-        JobOutput::Gen(text) => format!("{{\"dfg\": {}}}", json_string(text)),
+        JobOutput::Run(r) => run_obj(&r.result, r.coverage.as_ref()),
+        JobOutput::Explore(o) => explore_obj(o),
+        JobOutput::Gen(text) => Obj::new().with("dfg", text),
     }
 }
 
 /// One job event as a single-line JSON object.
 #[must_use]
 pub fn render_event(job: JobId, event: &JobEvent<'_>) -> String {
-    match event {
-        JobEvent::Started => format!("{{\"event\": \"started\", \"job\": {job}}}"),
+    let named = |name: &str| Obj::new().with("event", name).with("job", job);
+    let obj = match event {
+        JobEvent::Started => named("started"),
         JobEvent::Progress(p) => match *p {
-            ProgressEvent::Iteration { iteration, merges } => format!(
-                "{{\"event\": \"iteration\", \"job\": {job}, \
-                 \"iteration\": {iteration}, \"merges\": {merges}}}"
-            ),
-            ProgressEvent::PointDone {
-                id,
-                completed,
-                total,
-            } => format!(
-                "{{\"event\": \"point_done\", \"job\": {job}, \"point\": {id}, \
-                 \"completed\": {completed}, \"total\": {total}}}"
-            ),
+            ProgressEvent::Iteration { iteration, merges } => {
+                named("iteration").with("iteration", iteration).with("merges", merges)
+            }
+            ProgressEvent::PointDone { id, completed, total } => named("point_done")
+                .with("point", id).with("completed", completed).with("total", total),
             // `ProgressEvent` is non_exhaustive; unknown future events
             // must not break the protocol stream.
-            _ => format!("{{\"event\": \"progress\", \"job\": {job}}}"),
+            _ => named("progress"),
         },
-        JobEvent::Done(output) => format!(
-            "{{\"event\": \"done\", \"job\": {job}, \"result\": {}}}",
-            output_json(output)
-        ),
-        JobEvent::Failed(message) => format!(
-            "{{\"event\": \"failed\", \"job\": {job}, \"error\": {}}}",
-            json_string(message)
-        ),
-        JobEvent::Cancelled(partial) => match partial {
-            Some(output) => format!(
-                "{{\"event\": \"cancelled\", \"job\": {job}, \"partial\": {}}}",
-                output_json(output)
-            ),
-            None => format!("{{\"event\": \"cancelled\", \"job\": {job}}}"),
-        },
-    }
+        JobEvent::Done(output) => named("done").with("result", output_obj(output)),
+        JobEvent::Failed(message) => named("failed").with("error", *message),
+        JobEvent::Cancelled(partial) => {
+            named("cancelled").with_some("partial", partial.map(output_obj))
+        }
+    };
+    obj.line()
 }
 
 #[cfg(test)]

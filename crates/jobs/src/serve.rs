@@ -31,7 +31,7 @@ use std::time::Duration;
 use hlts_check::faults;
 
 use crate::engine::{EngineConfig, JobEngine, JobEvent, JobId, JobSink, SubmitError};
-use crate::json::{self, Json};
+use hlts_json::{self as json, Json};
 use crate::proto::{self, Request};
 use crate::resolve::{resolve_job, PathSources};
 

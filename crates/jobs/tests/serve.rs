@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use hlts_core::{EvalMode, NullSink, RunCtl};
 use hlts_dse::Flow;
-use hlts_jobs::json::{self, Json};
+use hlts_json::{self as json, Json};
 use hlts_jobs::serve::MAX_CONNECTIONS;
 use hlts_jobs::{execute, proto, JobOutput, JobSpec, ServeConfig, WarmPool};
 
@@ -243,7 +243,7 @@ fn path_sources_are_refused_over_tcp_and_the_connection_stays_open() {
     let mut c = Client::connect(&addr);
     c.send(&format!(
         r#"{{"op":"submit","id":"p","job":{{"kind":"run","source":{}}}}}"#,
-        hlts_dse::json_string(manifest)
+        json::quote(manifest)
     ));
     let e = c.recv_response();
     assert_eq!(e.get("ok"), Some(&Json::Bool(false)));
@@ -260,7 +260,7 @@ fn path_sources_are_refused_over_tcp_and_the_connection_stays_open() {
     // Explore sources are resolved the same way.
     c.send(&format!(
         r#"{{"op":"submit","id":"x","job":{{"kind":"explore","sources":["bench:ex",{}]}}}}"#,
-        hlts_dse::json_string(manifest)
+        json::quote(manifest)
     ));
     let e = c.recv_response();
     assert_eq!(e.get("ok"), Some(&Json::Bool(false)));
@@ -302,6 +302,40 @@ fn zero_bits_is_refused_at_submit_and_the_connection_stays_open() {
     c.send(r#"{"op":"submit","id":"b","job":{"kind":"run","source":"bench:ex","bits":4}}"#);
     let ack = c.recv_response();
     let job = ack.get("job").and_then(Json::as_u64).unwrap();
+    assert_eq!(
+        c.recv_terminal(job).get("event").and_then(Json::as_str),
+        Some("done")
+    );
+    shutdown(&addr);
+    daemon.join().unwrap();
+}
+
+/// `08` is not a JSON number: the line is malformed (not a bits-8
+/// request), answered with the structured error, and counted.
+#[test]
+fn a_leading_zero_number_is_a_malformed_line_and_the_connection_stays_open() {
+    let (addr, daemon) = spawn_daemon(ServeConfig {
+        workers: 1,
+        queue_capacity: 2,
+        warm_capacity: 2,
+    });
+    let mut c = Client::connect(&addr);
+    c.send(r#"{"op":"submit","id":"lz","job":{"kind":"run","source":"bench:ex","bits":08}}"#);
+    let e = c.recv_response();
+    assert_eq!(e.get("ok"), Some(&Json::Bool(false)), "accepted: {e:?}");
+    let error = e.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.starts_with("not valid JSON"), "{error}");
+    c.send(r#"{"op":"status","id":"after"}"#);
+    let s = c.recv_response();
+    assert_eq!(s.get("id").and_then(Json::as_str), Some("after"));
+    assert_eq!(
+        s.get("status")
+            .and_then(|s| s.get("malformed_requests"))
+            .and_then(Json::as_u64),
+        Some(1)
+    );
+    c.send(r#"{"op":"submit","id":"b","job":{"kind":"run","source":"bench:ex","bits":4}}"#);
+    let job = c.recv_response().get("job").and_then(Json::as_u64).unwrap();
     assert_eq!(
         c.recv_terminal(job).get("event").and_then(Json::as_str),
         Some("done")

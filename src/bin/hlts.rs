@@ -46,14 +46,14 @@
 use std::io::Read as _;
 use std::process::ExitCode;
 
-use hlts::core::{DesignState, RunCtl, SynthesisResult};
+use hlts::core::{DesignState, RunCtl};
 use hlts::dse::{self, Flow};
 use hlts::jobs::proto::{self, JobRequest, RunRequest, SourceRef};
+use hlts::json::Obj;
 use hlts::jobs::{
     execute, resolve_job, submit_once, AtpgRequest, ClientEnd, JobOutput, JobSpec, PathSources,
     ServeConfig, WarmPool,
 };
-use hlts::tcov::CoverageReport;
 
 /// Ctrl-C wiring: SIGINT fires the process-wide [`CancelToken`], so a
 /// one-shot `hlts run`/`hlts explore` stops at the next clean boundary
@@ -361,39 +361,6 @@ fn read_stdin(source: &mut SourceRef) -> Result<(), String> {
     Ok(())
 }
 
-/// Hand-rolled machine-readable report of one synthesis run. The
-/// `metrics` object is rendered by the daemon protocol's
-/// [`proto::metrics_json`], so a served result and `hlts run --json`
-/// agree byte-for-byte on that fragment.
-fn run_json(
-    source: &str,
-    flow: Flow,
-    result: &SynthesisResult,
-    atpg: Option<&CoverageReport>,
-) -> String {
-    let mut out = format!(
-        "{{\n  \"source\": {}, \"flow\": {},\n  \"metrics\": {},\n  \"merges\": [{}]",
-        dse::json_string(source),
-        dse::json_string(flow.name()),
-        proto::metrics_json(&result.metrics),
-        result
-            .merge_log
-            .iter()
-            .map(|s| dse::json_string(s))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    if let Some(report) = atpg {
-        // The daemon protocol's coverage object verbatim, so a served
-        // graded result and `hlts run --atpg --json` agree
-        // byte-for-byte on this fragment. `faults_graded` vs
-        // `total_collapsed` makes a sampled estimate explicit.
-        out.push_str(&format!(",\n  \"atpg\": {}", proto::coverage_json(report)));
-    }
-    out.push_str("\n}");
-    out
-}
-
 /// `hlts run`: resolve and execute the request exactly as a daemon
 /// worker would (same parameter derivation, same cancellation
 /// boundaries), so a one-shot run and a served submission are
@@ -442,7 +409,11 @@ fn run_main(args: impl Iterator<Item = String>) -> Result<(), String> {
         }
     }
     if json {
-        println!("{}", run_json(&source, flow, &result, out.coverage.as_ref()));
+        // The protocol's metrics and coverage objects: served and one-shot runs agree.
+        let doc = Obj::new().with("source", &source).with("flow", flow.name())
+            .with("metrics", proto::metrics_obj(&result.metrics)).with("merges", &result.merge_log)
+            .with_some("atpg", out.coverage.as_ref().map(proto::coverage_obj));
+        print!("{}", doc.document());
         return Ok(());
     }
     if !quiet {

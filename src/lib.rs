@@ -25,7 +25,8 @@
 //!   differential conformance harness over the engine matrix;
 //! * [`jobs`] — the job-oriented execution engine (bounded queue,
 //!   worker pool, cancellation, warm contexts) and the `hlts serve`
-//!   daemon protocol.
+//!   daemon protocol;
+//! * [`json`] — the JSON reader and the line/document writer.
 //!
 //! # Quickstart
 //!
@@ -57,6 +58,7 @@ pub use hlts_dse as dse;
 pub use hlts_etpn as etpn;
 pub use hlts_gen as gen;
 pub use hlts_jobs as jobs;
+pub use hlts_json as json;
 pub use hlts_netlist as netlist;
 pub use hlts_sched as sched;
 pub use hlts_tcov as tcov;

@@ -127,21 +127,45 @@ fn unknown_flag_error_lists_the_valid_flags() {
     }
 }
 
+/// Parse a whole `--json` stdout with the workspace reader, returning
+/// the document and its top-level keys in order.
+fn json_document(stdout: &[u8]) -> (hlts::json::Json, Vec<String>) {
+    let text = String::from_utf8_lossy(stdout);
+    let doc = hlts::json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let hlts::json::Json::Obj(members) = &doc else {
+        panic!("not a JSON object: {text}");
+    };
+    let keys = members.iter().map(|(key, _)| key.clone()).collect();
+    (doc, keys)
+}
+
 #[test]
 fn run_json_is_machine_readable() {
-    let out = hlts()
-        .args(["run", "bench:ex", "--json"])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.trim_start().starts_with('{'), "{text}");
-    assert!(text.trim_end().ends_with('}'), "{text}");
-    for key in ["\"source\"", "\"metrics\"", "\"execution_time\"", "\"merges\""] {
-        assert!(text.contains(key), "missing {key} in: {text}");
+    use hlts::json::Json;
+    let graded = ["--atpg", "--fault-sample", "300", "--bits", "4"];
+    for extra in [&[][..], &graded[..]] {
+        let out = hlts()
+            .args(["run", "bench:ex", "--json"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{out:?}");
+        // The whole of stdout parses: JSON mode replaces the human report.
+        let (doc, keys) = json_document(&out.stdout);
+        let mut want = vec!["source", "flow", "metrics", "merges"];
+        if !extra.is_empty() {
+            want.push("atpg");
+        }
+        assert_eq!(keys, want, "{extra:?}");
+        assert_eq!(doc.get("source").and_then(Json::as_str), Some("bench:ex"));
+        let metrics = doc.get("metrics").expect("metrics");
+        assert!(metrics.get("execution_time").and_then(Json::as_u64).is_some());
+        assert!(!doc.get("merges").and_then(Json::as_arr).expect("merges").is_empty());
+        if let Some(atpg) = doc.get("atpg") {
+            assert_eq!(atpg.get("faults_graded").and_then(Json::as_u64), Some(300));
+            assert!(atpg.get("coverage").and_then(Json::as_f64).is_some());
+        }
     }
-    // JSON mode replaces the human report entirely.
-    assert!(!text.contains("E = "), "{text}");
 }
 
 #[test]
@@ -158,15 +182,20 @@ fn explore_reports_a_pareto_front() {
 
 #[test]
 fn explore_json_is_machine_readable() {
+    use hlts::json::Json;
     let out = hlts()
         .args(["explore", "bench:ex", "--k", "1", "--weights", "2:1", "--json"])
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    for key in ["\"points\"", "\"front\"", "\"stats\"", "\"points_total\""] {
-        assert!(text.contains(key), "missing {key} in: {text}");
-    }
+    let (doc, keys) = json_document(&out.stdout);
+    assert_eq!(keys, ["points", "front", "failures", "stats"]);
+    let points = doc.get("points").and_then(Json::as_arr).expect("points");
+    assert_eq!(points.len(), 1);
+    assert_eq!(points[0].get("bench").and_then(Json::as_str), Some("ex"));
+    assert_eq!(doc.get("front").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
+    let stats = doc.get("stats").expect("stats");
+    assert_eq!(stats.get("points_total").and_then(Json::as_u64), Some(1));
 }
 
 #[test]
