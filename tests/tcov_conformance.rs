@@ -1,13 +1,19 @@
-//! Release-tier conformance matrix for the parallel coverage engine:
-//! over the four paper benchmarks and 32 generated workloads, the
-//! fault-partitioned parallel random phase must match the serial-fault
-//! oracle (detection bitmap and per-fault first-detecting sequence),
-//! and a full grade must be bit-identical at 1 and 4 workers.
+//! Conformance and absolute pins for the coverage engine.
 //!
-//! Ignored by default (minutes of release-mode work); CI runs it as
-//! `cargo test --release -- --ignored tcov_matrix`.
+//! Release-tier matrix: over the four paper benchmarks and 32 generated
+//! workloads, the fault-partitioned parallel random phase must match
+//! the serial-fault oracle (detection bitmap and per-fault
+//! first-detecting sequence), and a full grade must be bit-identical at
+//! 1 and 4 workers. Ignored by default (minutes of release-mode work);
+//! CI runs it as `cargo test --release -- --ignored`.
+//!
+//! The oracle and the partitioned path share one fault simulator, so a
+//! kernel bug both inherit would pass the matrix. The `pinned_*` tests
+//! close that gap: they pin absolute PODEM outcomes and coverage
+//! signatures, so any change to the gate-level kernels that moves a
+//! decision, a backtrack or a detection fails here.
 
-use hlts::atpg::{AtpgConfig, FaultSimulator, FaultUniverse};
+use hlts::atpg::{AtpgConfig, FaultSimulator, FaultUniverse, Podem, PodemOutcome};
 use hlts::core::{CancelToken, IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts::dfg::Dfg;
 use hlts::etpn::Etpn;
@@ -16,22 +22,32 @@ use hlts::tcov::{fsim, grade, TcovConfig};
 
 const BITS: u32 = 4;
 
-/// Synthesize a behavior with the paper defaults and elaborate the
-/// bound design to gates.
-fn elaborated(dfg: &Dfg) -> Netlist {
-    let result = IntegratedSynthesizer::new(SynthesisParams::paper_defaults(BITS))
+/// Synthesize a behavior with the paper defaults (the CLI's `run`
+/// flow) and elaborate the bound design to gates; also returns the
+/// schedule length the CLI derives its grading config from.
+fn synthesized(dfg: &Dfg, bits: u32) -> (Netlist, usize) {
+    let result = IntegratedSynthesizer::new(SynthesisParams::paper_defaults(bits))
         .run(dfg)
         .expect("synthesis succeeds");
     let etpn = Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation)
         .expect("etpn builds");
-    elaborate(
+    let nl = elaborate(
         &result.dfg,
         &result.schedule,
         &result.allocation,
         &etpn,
-        BITS,
+        bits,
     )
-    .expect("elaboration succeeds")
+    .expect("elaboration succeeds");
+    (nl, result.schedule.num_steps())
+}
+
+fn elaborated(dfg: &Dfg) -> Netlist {
+    synthesized(dfg, BITS).0
+}
+
+fn bench_netlist(bench: &str, bits: u32) -> (Netlist, usize) {
+    synthesized(&hlts::benchmarks::by_name(bench).expect("known benchmark"), bits)
 }
 
 fn matrix_cfg() -> AtpgConfig {
@@ -127,4 +143,170 @@ fn tcov_matrix_generated_workloads() {
             check_workload(&format!("{preset}-s{seed}"), &dfg);
         }
     }
+}
+
+/// FNV-1a over a PODEM test's frame-major input bits (byte 2 ends a
+/// frame).
+fn test_hash(test: &[Vec<bool>]) -> u32 {
+    let bytes = test
+        .iter()
+        .flat_map(|frame| frame.iter().map(|&b| u8::from(b)).chain([2]));
+    bytes.fold(0x811c_9dc5, |h, b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
+}
+
+/// Free-input PODEM (frames = steps + 3, backtrack limit 20) on every
+/// 25th fault of the 200-fault sample: one `T<backtracks>:<hash>`,
+/// `U<backtracks>` or `A<backtracks>` token per target.
+fn podem_pins(bench: &str) -> String {
+    let (nl, steps) = bench_netlist(bench, BITS);
+    let universe = FaultUniverse::collapsed(&nl).sampled(200, 1);
+    let mut podem = Podem::new(nl, steps + 3, 20);
+    let mut tokens = Vec::new();
+    for &f in universe.faults().iter().step_by(25) {
+        let before = podem.backtracks_used();
+        let outcome = podem.generate(f);
+        let bt = podem.backtracks_used() - before;
+        tokens.push(match outcome {
+            PodemOutcome::Test(t) => format!("T{bt}:{:08x}", test_hash(&t)),
+            PodemOutcome::Untestable => format!("U{bt}"),
+            PodemOutcome::Aborted => format!("A{bt}"),
+        });
+    }
+    tokens.join(" ")
+}
+
+fn assert_podem_pins(pins: &[(&str, &str)]) {
+    let got: Vec<String> = pins
+        .iter()
+        .map(|&(bench, _)| {
+            let tokens = podem_pins(bench);
+            println!("{bench}: {tokens}");
+            tokens
+        })
+        .collect();
+    let want: Vec<&str> = pins.iter().map(|&(_, tokens)| tokens).collect();
+    assert_eq!(got, want, "PODEM outcomes moved");
+}
+
+/// Grade each design at `bits` with `cfg_for(steps)` and return its
+/// signature.
+fn signatures(benches: &[&str], bits: u32, cfg_for: impl Fn(usize) -> TcovConfig) -> Vec<String> {
+    benches
+        .iter()
+        .map(|bench| {
+            let (nl, steps) = bench_netlist(bench, bits);
+            let report = grade(&nl, &cfg_for(steps), &RunCtl::none()).expect("grades");
+            let sig = report.signature();
+            println!("{bench}@{bits}: {sig}");
+            sig
+        })
+        .collect()
+}
+
+const DESIGNS: [&str; 6] = ["ex", "dct", "diffeq", "ewf", "paulin", "tseng"];
+
+#[test]
+fn pinned_podem_outcomes() {
+    assert_podem_pins(&[
+        ("ex", "A20 A20 A20 A20 A20 A20 A20 A20"),
+        (
+            "dct",
+            "T0:2079d6c5 A20 A20 A20 T0:955059a1 A20 A20 T0:2079d6c5",
+        ),
+        (
+            "diffeq",
+            "A20 A20 T5:81697f04 A20 A20 A20 T0:466eb837 A20",
+        ),
+        (
+            "paulin",
+            "A20 T7:2f4f661c A20 T3:f2e86986 A20 A20 T0:ef25ea7c T0:186ae3a7",
+        ),
+        ("tseng", "A20 A20 A20 A20 A20 A20 A20 A20"),
+    ]);
+}
+
+/// A small grading config: 4 random sequences, a 200-fault sample,
+/// 4 PODEM targets at backtrack limit 10.
+#[test]
+fn pinned_small_grade_signatures() {
+    let got = signatures(&DESIGNS, BITS, |steps| {
+        let mut cfg = TcovConfig::for_schedule(steps, Some(200), 1);
+        cfg.atpg.random_sequences = 4;
+        cfg.atpg.max_deterministic_targets = 4;
+        cfg.atpg.backtrack_limit = 10;
+        cfg
+    });
+    let want = [
+        "gates=302 graded=200 collapsed=1485 uncollapsed=1712 rand=194 det=0 \
+         untest=0 abort=4 cycles=10 backtracks=0 patterns=2560 cov=97.0 eff=97.0",
+        "gates=572 graded=200 collapsed=2741 uncollapsed=3222 rand=189 det=0 \
+         untest=0 abort=4 cycles=8 backtracks=30 patterns=2048 cov=94.5 eff=94.5",
+        "gates=375 graded=200 collapsed=1830 uncollapsed=2138 rand=181 det=0 \
+         untest=0 abort=4 cycles=10 backtracks=0 patterns=2560 cov=90.5 eff=90.5",
+        "gates=672 graded=200 collapsed=3790 uncollapsed=4122 rand=190 det=0 \
+         untest=0 abort=4 cycles=54 backtracks=0 patterns=13824 cov=95.0 eff=95.0",
+        "gates=307 graded=200 collapsed=1495 uncollapsed=1738 rand=186 det=0 \
+         untest=0 abort=4 cycles=10 backtracks=0 patterns=2560 cov=93.0 eff=93.0",
+        "gates=293 graded=200 collapsed=1478 uncollapsed=1676 rand=189 det=0 \
+         untest=0 abort=4 cycles=10 backtracks=60 patterns=2560 cov=94.5 eff=94.5",
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+#[ignore = "release-tier pin; run with -- --ignored"]
+fn pinned_podem_outcomes_ewf() {
+    assert_podem_pins(&[("ewf", "A20 A20 A20 A20 A20 A20 A20 A20")]);
+}
+
+/// The CLI's default grading (`hlts run bench:X --atpg`): a 2000-fault
+/// sample, one worker, on every paper design at 4, 8 and 16 bits.
+#[test]
+#[ignore = "release-tier pin; run with -- --ignored"]
+fn pinned_cli_grade_signatures() {
+    let mut got = Vec::new();
+    for bits in [4, 8, 16] {
+        got.extend(signatures(&DESIGNS, bits, |steps| {
+            TcovConfig::for_schedule(steps, Some(2000), 1)
+        }));
+    }
+    let want = [
+        "gates=302 graded=1485 collapsed=1485 uncollapsed=1712 rand=1433 det=0 \
+         untest=0 abort=52 cycles=20 backtracks=3200 patterns=15360 cov=96.4983164983165 eff=96.4983164983165",
+        "gates=572 graded=2000 collapsed=2741 uncollapsed=3222 rand=1811 det=0 \
+         untest=0 abort=189 cycles=16 backtracks=31430 patterns=12288 cov=90.55 eff=90.55",
+        "gates=375 graded=1830 collapsed=1830 uncollapsed=2138 rand=1690 det=0 \
+         untest=0 abort=140 cycles=10 backtracks=18178 patterns=15360 cov=92.34972677595628 eff=92.34972677595628",
+        "gates=672 graded=2000 collapsed=3790 uncollapsed=4122 rand=1942 det=0 \
+         untest=0 abort=58 cycles=54 backtracks=10800 patterns=82944 cov=97.1 eff=97.1",
+        "gates=307 graded=1495 collapsed=1495 uncollapsed=1738 rand=1414 det=0 \
+         untest=0 abort=81 cycles=10 backtracks=5376 patterns=15360 cov=94.58193979933111 eff=94.58193979933111",
+        "gates=293 graded=1478 collapsed=1478 uncollapsed=1676 rand=1382 det=0 \
+         untest=0 abort=96 cycles=10 backtracks=17700 patterns=15360 cov=93.50473612990528 eff=93.50473612990528",
+        "gates=758 graded=2000 collapsed=3781 uncollapsed=4424 rand=1953 det=0 \
+         untest=0 abort=47 cycles=30 backtracks=4346 patterns=15360 cov=97.65 eff=97.65",
+        "gates=1564 graded=2000 collapsed=7593 uncollapsed=9078 rand=1886 det=0 \
+         untest=0 abort=114 cycles=16 backtracks=21000 patterns=12288 cov=94.3 eff=94.3",
+        "gates=991 graded=2000 collapsed=4882 uncollapsed=5794 rand=1911 det=0 \
+         untest=0 abort=89 cycles=70 backtracks=11608 patterns=15360 cov=95.55 eff=95.55",
+        "gates=1312 graded=2000 collapsed=7690 uncollapsed=8258 rand=1960 det=0 \
+         untest=0 abort=40 cycles=54 backtracks=7500 patterns=82944 cov=98.0 eff=98.0",
+        "gates=859 graded=2000 collapsed=4219 uncollapsed=5010 rand=1941 det=0 \
+         untest=0 abort=59 cycles=20 backtracks=6148 patterns=15360 cov=97.05 eff=97.05",
+        "gates=645 graded=2000 collapsed=3322 uncollapsed=3780 rand=1912 det=0 \
+         untest=0 abort=88 cycles=10 backtracks=19200 patterns=15360 cov=95.6 eff=95.6",
+        "gates=1573 graded=2000 collapsed=8060 uncollapsed=9386 rand=1957 det=0 \
+         untest=0 abort=43 cycles=12 backtracks=7982 patterns=18432 cov=97.85 eff=97.85",
+        "gates=2102 graded=2000 collapsed=11010 uncollapsed=12560 rand=1980 det=0 \
+         untest=0 abort=20 cycles=16 backtracks=2062 patterns=24576 cov=99.0 eff=99.0",
+        "gates=1662 graded=2000 collapsed=8644 uncollapsed=9986 rand=1939 det=25 \
+         untest=0 abort=36 cycles=244 backtracks=5172 patterns=24576 cov=98.2 eff=98.2",
+        "gates=2453 graded=2000 collapsed=14032 uncollapsed=15240 rand=1961 det=0 \
+         untest=0 abort=39 cycles=64 backtracks=9900 patterns=98304 cov=98.05 eff=98.05",
+        "gates=1463 graded=2000 collapsed=7572 uncollapsed=8772 rand=1978 det=0 \
+         untest=0 abort=22 cycles=16 backtracks=1692 patterns=24576 cov=98.9 eff=98.9",
+        "gates=1637 graded=2000 collapsed=8354 uncollapsed=9716 rand=1929 det=0 \
+         untest=0 abort=71 cycles=10 backtracks=13200 patterns=15360 cov=96.45 eff=96.45",
+    ];
+    assert_eq!(got, want);
 }
