@@ -31,6 +31,21 @@ if [ -n "$JSON_KEYS" ]; then
   exit 1
 fi
 
+echo "==> one gate evaluator: no netlist walk outside crates/atpg/src/tape.rs"
+# Clock cycles are simulated only by the compiled tape's step; a
+# levelization or a per-gate GateKind::eval in production code (the
+# line-count rule above) elsewhere is a second gate walker.
+GATE_WALKS=$(find crates/*/src src -name '*.rs' -not -path 'crates/atpg/src/tape.rs' \
+  -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { test = 0 }
+  /^#\[cfg\(test\)\]/ { test = 1 }
+  !test && /topo_levels\(|\.kind\(\)\.eval\(/ && !/fn topo_levels\(/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$GATE_WALKS" ]; then
+  echo "gate walk outside the tape (simulate through atpg's Tape::step):" >&2
+  echo "$GATE_WALKS" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 

@@ -1,8 +1,9 @@
 //! Serial-fault, parallel-pattern fault simulation with fault dropping.
 
-use hlts_netlist::{GateKind, Netlist};
+use hlts_netlist::Netlist;
 
-use crate::{Fault, FaultSite, Simulator};
+use crate::tape::Tape;
+use crate::Fault;
 
 /// One clock cycle's primary-input assignment: a 64-pattern word per
 /// primary input, in the netlist's input order.
@@ -11,12 +12,10 @@ pub type PiAssign = Vec<u64>;
 /// The recorded good-machine behavior of a test sequence.
 #[derive(Debug, Clone)]
 pub struct GoodTrace {
-    /// Per cycle: value of every net after settling.
-    values: Vec<Vec<u64>>,
-    /// Per cycle: flip-flop state *before* the cycle's clock edge.
-    states: Vec<Vec<u64>>,
-    /// Per cycle: primary-output values.
-    outputs: Vec<Vec<u64>>,
+    /// Cycle-major: the value of every net after settling.
+    values: Vec<u64>,
+    /// Cycle-major: the flip-flop state *before* the cycle's clock edge.
+    states: Vec<u64>,
 }
 
 /// A serial-fault, 64-pattern-parallel fault simulator.
@@ -26,147 +25,74 @@ pub struct GoodTrace {
 /// activated (before activation the faulty machine coincides with the
 /// recorded good machine). A fault is *detected* when any primary
 /// output differs from the good machine in any pattern of any cycle.
+/// Flip-flops reset to 0.
 #[derive(Debug, Clone)]
 pub struct FaultSimulator {
-    sim: Simulator,
+    nl: Netlist,
+    tape: Tape,
 }
 
 impl FaultSimulator {
-    /// Wrap a netlist.
+    /// Wrap a netlist (compiles it once).
     #[must_use]
     pub fn new(nl: Netlist) -> Self {
-        FaultSimulator {
-            sim: Simulator::new(nl),
-        }
+        let tape = Tape::compile(&nl);
+        FaultSimulator { nl, tape }
     }
 
     /// The wrapped netlist.
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
-        self.sim.netlist()
+        &self.nl
     }
 
     /// Simulate the good machine over `seq` from reset, recording every
     /// net value per cycle.
     #[must_use]
     pub fn good_trace(&mut self, seq: &[PiAssign]) -> GoodTrace {
-        self.sim.reset();
+        let (n, dffs) = (self.tape.nets(), self.tape.num_dffs());
         let mut trace = GoodTrace {
-            values: Vec::with_capacity(seq.len()),
-            states: Vec::with_capacity(seq.len()),
-            outputs: Vec::with_capacity(seq.len()),
+            values: vec![0; seq.len() * n],
+            states: vec![0; seq.len() * dffs],
         };
-        for assign in seq {
-            for (i, &v) in assign.iter().enumerate() {
-                self.sim.set_input(i, v);
-            }
-            trace.states.push(self.sim.state().to_vec());
-            self.sim.clock();
-            trace.values.push(self.sim.values_snapshot());
-            trace
-                .outputs
-                .push(self.outputs_from(trace.values.last().expect("pushed")));
+        let (mut state, mut next) = (vec![0; dffs], vec![0; dffs]);
+        for (c, pis) in seq.iter().enumerate() {
+            trace.states[c * dffs..(c + 1) * dffs].copy_from_slice(&state);
+            let vals = &mut trace.values[c * n..(c + 1) * n];
+            self.tape.step(pis, &state, vals, &mut next, None, 0);
+            std::mem::swap(&mut state, &mut next);
         }
         trace
-    }
-
-    fn outputs_from(&self, values: &[u64]) -> Vec<u64> {
-        self.sim
-            .netlist()
-            .outputs()
-            .iter()
-            .map(|(_, g)| values[g.index()])
-            .collect()
-    }
-
-    /// Good value of the fault site in a recorded cycle.
-    fn site_value(&self, values: &[u64], fault: Fault) -> u64 {
-        match fault.site {
-            FaultSite::Output(g) => values[g.index()],
-            FaultSite::Input(g, pin) => {
-                let src = self.sim.netlist().gates()[g.index()].inputs()[pin as usize];
-                values[src.index()]
-            }
-        }
     }
 
     /// Whether `seq` (with its recorded `trace`) detects `fault`.
     #[must_use]
     pub fn detects(&self, trace: &GoodTrace, seq: &[PiAssign], fault: Fault) -> bool {
+        let (n, dffs) = (self.tape.nets(), self.tape.num_dffs());
         let stuck = if fault.stuck { !0u64 } else { 0u64 };
+        let site = self.tape.site_net(fault.site);
         // First cycle in which the site carries a value different from
         // the stuck value — before that the machines coincide.
-        let Some(first_active) =
-            (0..seq.len()).find(|&c| self.site_value(&trace.values[c], fault) != stuck)
+        let Some(first_active) = (0..seq.len()).find(|&c| trace.values[c * n + site] != stuck)
         else {
             return false;
         };
-        let nl = self.sim.netlist();
-        let n = nl.num_gates();
-        let mut values = vec![0u64; n];
-        let mut state = trace.states[first_active].clone();
-        for (cycle, cycle_assign) in seq.iter().enumerate().skip(first_active) {
-            // sources
-            for (i, g) in nl.gates().iter().enumerate() {
-                match g.kind() {
-                    GateKind::Const1 => values[i] = !0,
-                    GateKind::Const0 => values[i] = 0,
-                    _ => {}
-                }
-            }
-            for (i, &v) in cycle_assign.iter().enumerate() {
-                values[nl.inputs()[i].index()] = v;
-            }
-            for (i, &q) in nl.dffs().iter().enumerate() {
-                values[q.index()] = state[i];
-            }
-            // output faults on source nets inject immediately
-            if let FaultSite::Output(g) = fault.site {
-                let kind = nl.gates()[g.index()].kind();
-                if matches!(
-                    kind,
-                    GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1
-                ) {
-                    values[g.index()] = stuck;
-                }
-            }
-            // combinational evaluation with injection
-            for &g in self.sim.order() {
-                let gate = &nl.gates()[g.index()];
-                let mut ins: Vec<u64> = gate.inputs().iter().map(|&i| values[i.index()]).collect();
-                if let FaultSite::Input(fg, pin) = fault.site {
-                    if fg == g {
-                        ins[pin as usize] = stuck;
-                    }
-                }
-                let mut v = gate.kind().eval(&ins);
-                if fault.site == FaultSite::Output(g) {
-                    v = stuck;
-                }
-                values[g.index()] = v;
-            }
-            // compare primary outputs
-            let good = &trace.outputs[cycle];
-            let differs = nl
+        let mut vals = vec![0u64; n];
+        let mut state = trace.states[first_active * dffs..(first_active + 1) * dffs].to_vec();
+        let mut next = vec![0u64; dffs];
+        for (c, pis) in seq.iter().enumerate().skip(first_active) {
+            self.tape
+                .step(pis, &state, &mut vals, &mut next, Some(fault), !0);
+            let good = &trace.values[c * n..(c + 1) * n];
+            if self
+                .tape
                 .outputs()
                 .iter()
-                .zip(good)
-                .any(|((_, g), &gv)| values[g.index()] != gv);
-            if differs {
+                .any(|&po| vals[po as usize] != good[po as usize])
+            {
                 return true;
             }
-            // latch (with D-pin injection)
-            for (i, &q) in nl.dffs().iter().enumerate() {
-                let gate = &nl.gates()[q.index()];
-                let d = gate.inputs()[0];
-                let mut v = values[d.index()];
-                if let FaultSite::Input(fg, 0) = fault.site {
-                    if fg == q {
-                        v = stuck;
-                    }
-                }
-                state[i] = v;
-            }
+            std::mem::swap(&mut state, &mut next);
         }
         false
     }
@@ -191,18 +117,11 @@ impl FaultSimulator {
     }
 }
 
-impl Simulator {
-    pub(crate) fn values_snapshot(&self) -> Vec<u64> {
-        (0..self.netlist().num_gates())
-            .map(|i| self.value(hlts_netlist::GateId::from_index(i)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultUniverse;
+    use crate::{FaultSite, FaultUniverse};
+    use hlts_netlist::GateKind;
 
     /// Combinational AND with both inputs driven: every collapsed fault
     /// is detectable by exhaustive patterns.

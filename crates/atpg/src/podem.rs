@@ -9,11 +9,16 @@
 //! 3-valued (0/1/X) simulation of the good and faulty machines as the
 //! implication engine, and a bounded number of backtracks.
 
-use hlts_netlist::{GateId, GateKind, Netlist};
+use hlts_netlist::{GateKind, Logic, Netlist};
 
+use crate::tape::{DualRail, Tape};
 use crate::{Fault, FaultSite};
 
-type V = Option<bool>;
+/// The lane of a [`DualRail`] word that carries the good machine; the
+/// faulty machine runs in [`FAULTY`] alongside it, in the same step.
+const GOOD: u32 = 0;
+/// The lane that carries the faulty machine.
+const FAULTY: u32 = 1;
 
 /// Result of one PODEM run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,23 +36,37 @@ pub enum PodemOutcome {
 /// PODEM test generator for one netlist.
 #[derive(Debug, Clone)]
 pub struct Podem {
-    nl: Netlist,
-    order: Vec<GateId>,
+    tape: Tape,
     frames: usize,
     backtrack_limit: usize,
     backtracks_used: usize,
+    /// Frame-major primary-input assignment (X = not decided).
+    assign: Vec<DualRail>,
+    /// Frame-major net values of the last implication: the good machine
+    /// in lane [`GOOD`], the faulty machine in lane [`FAULTY`].
+    vals: Vec<DualRail>,
+    /// Flip-flop state entering the frame being implied, and leaving it.
+    state: Vec<DualRail>,
+    next: Vec<DualRail>,
+    /// Decisions: (frame, pi, value, tried_both).
+    stack: Vec<(usize, usize, bool, bool)>,
 }
 
 impl Podem {
     /// Create a generator unrolling `frames` time frames with the given
     /// backtrack limit.
     #[must_use]
-    pub fn new(mut nl: Netlist, frames: usize, backtrack_limit: usize) -> Self {
-        let order = nl.topo_levels();
+    pub fn new(nl: Netlist, frames: usize, backtrack_limit: usize) -> Self {
+        let tape = Tape::compile(&nl);
+        let frames = frames.max(1);
         Podem {
-            nl,
-            order,
-            frames: frames.max(1),
+            assign: vec![DualRail::X; frames * tape.num_inputs()],
+            vals: vec![DualRail::X; frames * tape.nets()],
+            state: vec![DualRail::X; tape.num_dffs()],
+            next: vec![DualRail::X; tape.num_dffs()],
+            stack: Vec::new(),
+            tape,
+            frames,
             backtrack_limit,
             backtracks_used: 0,
         }
@@ -70,185 +89,108 @@ impl Podem {
     /// inputs with the controller's one-hot stepping protocol shrinks
     /// the search space to the data inputs, mirroring a test plan that
     /// walks the schedule.
-    pub fn generate_seeded(&mut self, fault: Fault, preset: Option<&[Vec<V>]>) -> PodemOutcome {
-        let num_pis = self.nl.inputs().len();
-        // PI assignments: frame-major.
-        let mut assign: Vec<Vec<V>> = vec![vec![None; num_pis]; self.frames];
-        if let Some(p) = preset {
-            for (f, row) in p.iter().enumerate().take(self.frames) {
-                for (i, &v) in row.iter().enumerate().take(num_pis) {
-                    assign[f][i] = v;
-                }
+    pub fn generate_seeded(
+        &mut self,
+        fault: Fault,
+        preset: Option<&[Vec<Option<bool>>]>,
+    ) -> PodemOutcome {
+        let num_pis = self.tape.num_inputs();
+        self.assign.fill(DualRail::X);
+        for (f, row) in preset
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+            .take(self.frames)
+        {
+            for (i, &v) in row.iter().enumerate().take(num_pis) {
+                self.assign[f * num_pis + i] = DualRail::splat(v);
             }
         }
-        // decision stack: (frame, pi, value, tried_both)
-        let mut stack: Vec<(usize, usize, bool, bool)> = Vec::new();
+        self.stack.clear();
         let mut backtracks = 0usize;
 
         loop {
-            let state = self.imply(&assign, fault);
-            if state.detected {
+            if self.imply(fault) {
                 self.backtracks_used += backtracks;
-                let test = assign
-                    .iter()
-                    .map(|frame| frame.iter().map(|v| v.unwrap_or(false)).collect())
+                let test = (0..self.frames)
+                    .map(|t| {
+                        let frame = &self.assign[t * num_pis..(t + 1) * num_pis];
+                        frame.iter().map(|v| v.lane(GOOD) == Some(true)).collect()
+                    })
                     .collect();
                 return PodemOutcome::Test(test);
             }
-            let objective = self.objective(&state, fault);
-            let advanced = match objective {
-                Some((frame, signal, value)) => {
-                    match self.backtrace(&state, &assign, frame, signal, value) {
-                        Some((f, pi, v)) => {
-                            assign[f][pi] = Some(v);
-                            stack.push((f, pi, v, false));
-                            true
-                        }
-                        None => false,
-                    }
-                }
-                None => false,
-            };
-            if advanced {
+            let decision = self
+                .objective(fault)
+                .and_then(|(frame, net, value)| self.backtrace(frame, net, value));
+            if let Some((frame, pi, value)) = decision {
+                self.assign[frame * num_pis + pi] = DualRail::splat(Some(value));
+                self.stack.push((frame, pi, value, false));
                 continue;
             }
             // conflict: backtrack
             loop {
-                match stack.pop() {
-                    None => {
-                        self.backtracks_used += backtracks;
-                        return if backtracks >= self.backtrack_limit {
-                            PodemOutcome::Aborted
-                        } else {
-                            PodemOutcome::Untestable
-                        };
-                    }
-                    Some((f, pi, v, tried_both)) => {
-                        assign[f][pi] = None;
-                        backtracks += 1;
-                        if backtracks >= self.backtrack_limit {
-                            self.backtracks_used += backtracks;
-                            return PodemOutcome::Aborted;
-                        }
-                        if !tried_both {
-                            assign[f][pi] = Some(!v);
-                            stack.push((f, pi, !v, true));
-                            break;
-                        }
-                    }
+                let Some((frame, pi, value, tried_both)) = self.stack.pop() else {
+                    self.backtracks_used += backtracks;
+                    return if backtracks >= self.backtrack_limit {
+                        PodemOutcome::Aborted
+                    } else {
+                        PodemOutcome::Untestable
+                    };
+                };
+                let slot = frame * num_pis + pi;
+                self.assign[slot] = DualRail::X;
+                backtracks += 1;
+                if backtracks >= self.backtrack_limit {
+                    self.backtracks_used += backtracks;
+                    return PodemOutcome::Aborted;
+                }
+                if !tried_both {
+                    self.assign[slot] = DualRail::splat(Some(!value));
+                    self.stack.push((frame, pi, !value, true));
+                    break;
                 }
             }
         }
     }
 
-    /// 3-valued forward simulation of both machines across all frames.
-    fn imply(&self, assign: &[Vec<V>], fault: Fault) -> Frames {
-        let n = self.nl.num_gates();
-        let mut good: Vec<Vec<V>> = vec![vec![None; n]; self.frames];
-        let mut faulty: Vec<Vec<V>> = vec![vec![None; n]; self.frames];
+    /// 3-valued forward simulation of both machines across all frames,
+    /// one tape step per frame; returns whether some primary output
+    /// carries a known good/faulty difference in some frame.
+    fn imply(&mut self, fault: Fault) -> bool {
+        let (n, num_pis) = (self.tape.nets(), self.tape.num_inputs());
+        let faulty_lane = DualRail::known(1 << FAULTY);
+        self.state.fill(DualRail::ZERO);
         let mut detected = false;
-
-        // previous frame's D values per machine
-        let dffs = self.nl.dffs().to_vec();
-        let mut prev_good_d: Vec<V> = vec![Some(false); dffs.len()];
-        let mut prev_faulty_d: Vec<V> = vec![Some(false); dffs.len()];
-
         for t in 0..self.frames {
-            // sources
-            for (i, g) in self.nl.gates().iter().enumerate() {
-                let v = match g.kind() {
-                    GateKind::Const0 => Some(false),
-                    GateKind::Const1 => Some(true),
-                    _ => continue,
-                };
-                good[t][i] = v;
-                faulty[t][i] = v;
-            }
-            for (pi_idx, &g) in self.nl.inputs().iter().enumerate() {
-                good[t][g.index()] = assign[t][pi_idx];
-                faulty[t][g.index()] = assign[t][pi_idx];
-            }
-            for (k, &q) in dffs.iter().enumerate() {
-                good[t][q.index()] = prev_good_d[k];
-                faulty[t][q.index()] = prev_faulty_d[k];
-            }
-            // output-site injection on source nets
-            if let FaultSite::Output(g) = fault.site {
-                let kind = self.nl.gates()[g.index()].kind();
-                if matches!(
-                    kind,
-                    GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1
-                ) {
-                    faulty[t][g.index()] = Some(fault.stuck);
-                }
-            }
-            // combinational propagation
-            for &g in &self.order {
-                let gate = &self.nl.gates()[g.index()];
-                let gv: Vec<V> = gate.inputs().iter().map(|&i| good[t][i.index()]).collect();
-                good[t][g.index()] = eval3(gate.kind(), &gv);
-                let mut fv: Vec<V> = gate
-                    .inputs()
-                    .iter()
-                    .map(|&i| faulty[t][i.index()])
-                    .collect();
-                if let FaultSite::Input(fg, pin) = fault.site {
-                    if fg == g {
-                        fv[pin as usize] = Some(fault.stuck);
-                    }
-                }
-                let mut out = eval3(gate.kind(), &fv);
-                if fault.site == FaultSite::Output(g) {
-                    out = Some(fault.stuck);
-                }
-                faulty[t][g.index()] = out;
-            }
-            // detection at primary outputs
-            for (_, g) in self.nl.outputs() {
-                if let (Some(a), Some(b)) = (good[t][g.index()], faulty[t][g.index()]) {
-                    if a != b {
-                        detected = true;
-                    }
-                }
-            }
-            // next-frame state with D-pin injection
-            for (k, &q) in dffs.iter().enumerate() {
-                let d = self.nl.gates()[q.index()].inputs()[0];
-                prev_good_d[k] = good[t][d.index()];
-                let mut fd = faulty[t][d.index()];
-                if let FaultSite::Input(fg, 0) = fault.site {
-                    if fg == q {
-                        fd = Some(fault.stuck);
-                    }
-                }
-                prev_faulty_d[k] = fd;
-            }
+            let pis = &self.assign[t * num_pis..(t + 1) * num_pis];
+            let vals = &mut self.vals[t * n..(t + 1) * n];
+            let (state, next) = (&self.state, &mut self.next);
+            self.tape
+                .step(pis, state, vals, next, Some(fault), faulty_lane);
+            detected |= self.tape.outputs().iter().any(|&po| {
+                let v = vals[po as usize];
+                matches!((v.lane(GOOD), v.lane(FAULTY)), (Some(a), Some(b)) if a != b)
+            });
+            std::mem::swap(&mut self.state, &mut self.next);
         }
-        Frames {
-            good,
-            faulty,
-            detected,
-        }
+        detected
+    }
+
+    /// Value of `net` in frame `t` of the last implication.
+    fn val(&self, t: usize, net: usize) -> DualRail {
+        self.vals[t * self.tape.nets() + net]
     }
 
     /// Current objective: activate first, then propagate.
-    fn objective(&self, state: &Frames, fault: Fault) -> Option<(usize, GateId, bool)> {
-        let site_net = |t: usize| -> (GateId, V) {
-            match fault.site {
-                FaultSite::Output(g) => (g, state.good[t][g.index()]),
-                FaultSite::Input(g, pin) => {
-                    let src = self.nl.gates()[g.index()].inputs()[pin as usize];
-                    (src, state.good[t][src.index()])
-                }
-            }
-        };
+    fn objective(&self, fault: Fault) -> Option<(usize, usize, bool)> {
         // 1. activation: some frame where the site is X -> drive it to
         //    the non-stuck value.
+        let site = self.tape.site_net(fault.site);
         let mut activated = false;
         for t in 0..self.frames {
-            let (g, v) = site_net(t);
-            match v {
-                None => return Some((t, g, !fault.stuck)),
+            match self.val(t, site).lane(GOOD) {
+                None => return Some((t, site, !fault.stuck)),
                 Some(x) if x != fault.stuck => activated = true,
                 _ => {}
             }
@@ -260,31 +202,31 @@ impl Podem {
         //    some input carries a good/faulty difference; objective: set
         //    an X side input to the non-controlling value.
         for t in 0..self.frames {
-            for &g in &self.order {
-                if state.good[t][g.index()].is_some() && state.faulty[t][g.index()].is_some() {
+            for (g, ins) in self.tape.gates() {
+                let out = self.val(t, g);
+                if out.lane(GOOD).is_some() && out.lane(FAULTY).is_some() {
                     continue;
                 }
-                let gate = &self.nl.gates()[g.index()];
-                let has_d = gate.inputs().iter().enumerate().any(|(pin, &i)| {
-                    let gv = state.good[t][i.index()];
-                    let mut fv = state.faulty[t][i.index()];
+                let has_d = ins.iter().enumerate().any(|(pin, &i)| {
+                    let v = self.val(t, i as usize);
+                    let mut fv = v.lane(FAULTY);
                     // an input-pin fault introduces the difference inside
                     // this very gate
                     if let FaultSite::Input(fg, fp) = fault.site {
-                        if fg == g && usize::from(fp) == pin {
+                        if fg.index() == g && usize::from(fp) == pin {
                             fv = Some(fault.stuck);
                         }
                     }
-                    matches!((gv, fv), (Some(a), Some(b)) if a != b)
+                    matches!((v.lane(GOOD), fv), (Some(a), Some(b)) if a != b)
                 });
                 if !has_d {
                     continue;
                 }
-                for &i in gate.inputs() {
-                    if state.good[t][i.index()].is_none() {
-                        let v = non_controlling(gate.kind());
-                        return Some((t, i, v));
-                    }
+                let x_input = ins
+                    .iter()
+                    .find(|&&i| self.val(t, i as usize).lane(GOOD).is_none());
+                if let Some(&i) = x_input {
+                    return Some((t, i as usize, non_controlling(self.tape.kind(g))));
                 }
             }
         }
@@ -295,24 +237,15 @@ impl Podem {
     /// first search over X-valued inputs (trying every X fan-in, not
     /// just the first, so an assigned PI on one path does not abort the
     /// whole objective).
-    fn backtrace(
-        &self,
-        state: &Frames,
-        assign: &[Vec<V>],
-        frame: usize,
-        signal: GateId,
-        value: bool,
-    ) -> Option<(usize, usize, bool)> {
-        let mut budget = self.nl.num_gates() * self.frames + 1;
-        self.backtrace_dfs(state, assign, frame, signal, value, &mut budget)
+    fn backtrace(&self, frame: usize, net: usize, value: bool) -> Option<(usize, usize, bool)> {
+        let mut budget = self.tape.nets() * self.frames + 1;
+        self.backtrace_dfs(frame, net, value, &mut budget)
     }
 
     fn backtrace_dfs(
         &self,
-        state: &Frames,
-        assign: &[Vec<V>],
         frame: usize,
-        signal: GateId,
+        net: usize,
         value: bool,
         budget: &mut usize,
     ) -> Option<(usize, usize, bool)> {
@@ -320,33 +253,26 @@ impl Podem {
             return None;
         }
         *budget -= 1;
-        let gate = &self.nl.gates()[signal.index()];
-        match gate.kind() {
+        match self.tape.kind(net) {
             GateKind::Input => {
-                let pi = self
-                    .nl
-                    .inputs()
-                    .iter()
-                    .position(|&g| g == signal)
-                    .expect("input gate registered");
-                if assign[frame][pi].is_none() {
-                    Some((frame, pi, value))
-                } else {
-                    None
-                }
+                let pi = self.tape.pi_index(net);
+                let unassigned = self.assign[frame * self.tape.num_inputs() + pi] == DualRail::X;
+                unassigned.then_some((frame, pi, value))
             }
             GateKind::Dff => {
                 if frame == 0 {
                     return None; // reset state is fixed
                 }
-                self.backtrace_dfs(state, assign, frame - 1, gate.inputs()[0], value, budget)
+                let d = self.tape.fanin(net)[0] as usize;
+                self.backtrace_dfs(frame - 1, d, value, budget)
             }
             GateKind::Const0 | GateKind::Const1 => None,
             kind => {
                 let v = backtrace_value(kind, value);
-                for &i in gate.inputs() {
-                    if state.good[frame][i.index()].is_none() {
-                        if let Some(hit) = self.backtrace_dfs(state, assign, frame, i, v, budget) {
+                for &i in self.tape.fanin(net) {
+                    let i = i as usize;
+                    if self.val(frame, i).lane(GOOD).is_none() {
+                        if let Some(hit) = self.backtrace_dfs(frame, i, v, budget) {
                             return Some(hit);
                         }
                     }
@@ -354,69 +280,6 @@ impl Podem {
                 None
             }
         }
-    }
-}
-
-struct Frames {
-    good: Vec<Vec<V>>,
-    faulty: Vec<Vec<V>>,
-    detected: bool,
-}
-
-/// 3-valued gate evaluation.
-fn eval3(kind: GateKind, ins: &[V]) -> V {
-    match kind {
-        GateKind::Buf => ins[0],
-        GateKind::Not => ins[0].map(|v| !v),
-        GateKind::And | GateKind::Nand => {
-            let v = if ins.contains(&Some(false)) {
-                Some(false)
-            } else if ins.iter().all(|i| i.is_some()) {
-                Some(true)
-            } else {
-                None
-            };
-            if matches!(kind, GateKind::Nand) {
-                v.map(|x| !x)
-            } else {
-                v
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let v = if ins.contains(&Some(true)) {
-                Some(true)
-            } else if ins.iter().all(|i| i.is_some()) {
-                Some(false)
-            } else {
-                None
-            };
-            if matches!(kind, GateKind::Nor) {
-                v.map(|x| !x)
-            } else {
-                v
-            }
-        }
-        GateKind::Xor => match (ins[0], ins[1]) {
-            (Some(a), Some(b)) => Some(a ^ b),
-            _ => None,
-        },
-        GateKind::Xnor => match (ins[0], ins[1]) {
-            (Some(a), Some(b)) => Some(!(a ^ b)),
-            _ => None,
-        },
-        GateKind::Mux => match ins[0] {
-            Some(false) => ins[1],
-            Some(true) => ins[2],
-            None => match (ins[1], ins[2]) {
-                (Some(a), Some(b)) if a == b => Some(a),
-                _ => None,
-            },
-        },
-        GateKind::Const0 => Some(false),
-        GateKind::Const1 => Some(true),
-        GateKind::Input | GateKind::Dff => None,
-        // future kinds: unknown
-        _ => None,
     }
 }
 
@@ -540,17 +403,5 @@ mod tests {
         };
         let mut podem = Podem::new(nl, 1, 100);
         assert_eq!(podem.generate(fault), PodemOutcome::Untestable);
-    }
-
-    #[test]
-    fn eval3_semantics() {
-        use GateKind::*;
-        assert_eq!(eval3(And, &[Some(false), None]), Some(false));
-        assert_eq!(eval3(And, &[Some(true), None]), None);
-        assert_eq!(eval3(Or, &[Some(true), None]), Some(true));
-        assert_eq!(eval3(Xor, &[Some(true), None]), None);
-        assert_eq!(eval3(Mux, &[None, Some(true), Some(true)]), Some(true));
-        assert_eq!(eval3(Mux, &[None, Some(true), Some(false)]), None);
-        assert_eq!(eval3(Nand, &[Some(false), None]), Some(true));
     }
 }

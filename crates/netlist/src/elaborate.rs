@@ -403,7 +403,7 @@ mod tests {
     }
 
     impl Sim {
-        fn new(mut nl: Netlist) -> Self {
+        fn new(nl: Netlist) -> Self {
             let order = nl.topo_levels();
             let vals = vec![0u64; nl.num_gates()];
             let mut s = Sim { nl, vals, order };

@@ -69,26 +69,88 @@ impl GateKind {
         matches!(self, GateKind::Dff)
     }
 
-    /// Evaluate the gate over 64 parallel patterns (bit-sliced).
+    /// Evaluate the gate on one [`Logic`] word per input pin, in pin
+    /// order.
     ///
-    /// `inputs` are the input values in pin order; `Dff`, `Input` and
-    /// constants are not evaluated here (they are sources).
+    /// `Dff`, `Input` and constants are sources; only the constants
+    /// evaluate (to their value).
     #[must_use]
-    pub fn eval(self, inputs: &[u64]) -> u64 {
+    pub fn eval<L: Logic>(self, inputs: &[L]) -> L {
+        self.eval_with(inputs.len(), |pin| inputs[pin])
+    }
+
+    /// Evaluate the gate on `arity` input pins, reading pin `i` through
+    /// `pin(i)` — the form simulators use to feed a gate from their
+    /// value arrays without gathering its inputs first.
+    ///
+    /// The one definition of gate semantics. Every kind is written with
+    /// [`Logic`]'s and/or/not, so it holds for two-valued words and for
+    /// 0/1/X words alike. The multiplexer uses the consensus form
+    /// `(¬s∧a)∨(s∧b)∨(a∧b)`: two-valued it equals `s ? b : a`, and with
+    /// `s = X` it still yields `a` when `a == b`.
+    #[must_use]
+    pub fn eval_with<L: Logic>(self, arity: usize, pin: impl Fn(usize) -> L) -> L {
+        let and = || (0..arity).fold(L::ONE, |acc, i| acc.and(pin(i)));
+        let or = || (0..arity).fold(L::ZERO, |acc, i| acc.or(pin(i)));
+        let xor = || {
+            let (a, b) = (pin(0), pin(1));
+            a.and(b.not()).or(a.not().and(b))
+        };
         match self {
-            GateKind::Buf => inputs[0],
-            GateKind::Not => !inputs[0],
-            GateKind::And => inputs.iter().fold(!0u64, |a, &b| a & b),
-            GateKind::Or => inputs.iter().fold(0u64, |a, &b| a | b),
-            GateKind::Nand => !inputs.iter().fold(!0u64, |a, &b| a & b),
-            GateKind::Nor => !inputs.iter().fold(0u64, |a, &b| a | b),
-            GateKind::Xor => inputs[0] ^ inputs[1],
-            GateKind::Xnor => !(inputs[0] ^ inputs[1]),
-            GateKind::Mux => (!inputs[0] & inputs[1]) | (inputs[0] & inputs[2]),
-            GateKind::Const0 => 0,
-            GateKind::Const1 => !0u64,
+            GateKind::Buf => pin(0),
+            GateKind::Not => pin(0).not(),
+            GateKind::And => and(),
+            GateKind::Or => or(),
+            GateKind::Nand => and().not(),
+            GateKind::Nor => or().not(),
+            GateKind::Xor => xor(),
+            GateKind::Xnor => xor().not(),
+            GateKind::Mux => {
+                let (s, a, b) = (pin(0), pin(1), pin(2));
+                s.not().and(a).or(s.and(b)).or(a.and(b))
+            }
+            GateKind::Const0 => L::ZERO,
+            GateKind::Const1 => L::ONE,
             GateKind::Input | GateKind::Dff => unreachable!("sources are not evaluated"),
         }
+    }
+}
+
+/// A word of gate values: the and/or/not that [`GateKind::eval`] is
+/// written in.
+///
+/// `u64` is the two-valued word — bit `i` carries pattern `i`, so one
+/// evaluation simulates 64 patterns.
+pub trait Logic: Copy {
+    /// Every lane 0.
+    const ZERO: Self;
+    /// Every lane 1.
+    const ONE: Self;
+    /// Lane-wise conjunction.
+    #[must_use]
+    fn and(self, other: Self) -> Self;
+    /// Lane-wise disjunction.
+    #[must_use]
+    fn or(self, other: Self) -> Self;
+    /// Lane-wise negation.
+    #[must_use]
+    fn not(self) -> Self;
+}
+
+impl Logic for u64 {
+    const ZERO: Self = 0;
+    const ONE: Self = !0;
+
+    fn and(self, other: Self) -> Self {
+        self & other
+    }
+
+    fn or(self, other: Self) -> Self {
+        self | other
+    }
+
+    fn not(self) -> Self {
+        !self
     }
 }
 
@@ -121,9 +183,6 @@ pub struct Netlist {
     inputs: Vec<GateId>,
     outputs: Vec<(String, GateId)>,
     dffs: Vec<GateId>,
-    /// Topological order of combinational gates (sources excluded),
-    /// rebuilt lazily.
-    levels: Option<Vec<GateId>>,
 }
 
 impl Netlist {
@@ -140,7 +199,6 @@ impl Netlist {
         }
         self.gates.push(Gate { kind, inputs });
         self.names.push(None);
-        self.levels = None;
         id
     }
 
@@ -254,16 +312,14 @@ impl Netlist {
     }
 
     /// Topological order of the combinational gates (inputs, constants
-    /// and flip-flop outputs are sources and excluded). Cached.
+    /// and flip-flop outputs are sources and excluded), level by level.
     ///
     /// # Panics
     ///
     /// Panics if the combinational logic contains a cycle (elaboration
     /// never produces one).
-    pub fn topo_levels(&mut self) -> Vec<GateId> {
-        if let Some(l) = &self.levels {
-            return l.clone();
-        }
+    #[must_use]
+    pub fn topo_levels(&self) -> Vec<GateId> {
         let n = self.gates.len();
         let mut indeg = vec![0usize; n];
         let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -300,7 +356,6 @@ impl Netlist {
             n,
             "combinational cycle in netlist (elaboration bug)"
         );
-        self.levels = Some(order.clone());
         order
     }
 
@@ -339,15 +394,15 @@ mod tests {
 
     #[test]
     fn eval_semantics() {
-        assert_eq!(GateKind::And.eval(&[0b1100, 0b1010]), 0b1000);
-        assert_eq!(GateKind::Or.eval(&[0b1100, 0b1010]), 0b1110);
-        assert_eq!(GateKind::Xor.eval(&[0b1100, 0b1010]), 0b0110);
-        assert_eq!(GateKind::Not.eval(&[0]), !0u64);
+        assert_eq!(GateKind::And.eval(&[0b1100u64, 0b1010]), 0b1000);
+        assert_eq!(GateKind::Or.eval(&[0b1100u64, 0b1010]), 0b1110);
+        assert_eq!(GateKind::Xor.eval(&[0b1100u64, 0b1010]), 0b0110);
+        assert_eq!(GateKind::Not.eval(&[0u64]), !0u64);
         // mux: sel ? b : a
-        assert_eq!(GateKind::Mux.eval(&[0b10, 0b01, 0b11]), 0b11);
-        assert_eq!(GateKind::Nand.eval(&[!0, !0]), 0);
-        assert_eq!(GateKind::Nor.eval(&[0, 0]), !0u64);
-        assert_eq!(GateKind::Xnor.eval(&[0b1, 0b1]), !0u64);
+        assert_eq!(GateKind::Mux.eval(&[0b10u64, 0b01, 0b11]), 0b11);
+        assert_eq!(GateKind::Nand.eval(&[!0u64, !0]), 0);
+        assert_eq!(GateKind::Nor.eval(&[0u64, 0]), !0u64);
+        assert_eq!(GateKind::Xnor.eval(&[0b1u64, 0b1]), !0u64);
     }
 
     #[test]

@@ -23,6 +23,6 @@ mod verilog;
 mod words;
 
 pub use elaborate::{elaborate, elaborate_with, ElaborateError};
-pub use gates::{Gate, GateId, GateKind, Netlist};
+pub use gates::{Gate, GateId, GateKind, Logic, Netlist};
 pub use verilog::to_verilog;
 pub use words::WordBuilder;

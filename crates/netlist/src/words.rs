@@ -232,7 +232,7 @@ mod tests {
     use super::*;
 
     /// Evaluate a purely combinational netlist on concrete input words.
-    fn eval(nl: &mut Netlist, assign: &[(GateId, bool)]) -> Vec<(String, bool)> {
+    fn eval(nl: &Netlist, assign: &[(GateId, bool)]) -> Vec<(String, bool)> {
         let mut vals = vec![0u64; nl.num_gates()];
         for &(g, v) in assign {
             vals[g.index()] = if v { !0 } else { 0 };
@@ -257,12 +257,12 @@ mod tests {
             .collect()
     }
 
-    fn word_val(nl: &mut Netlist, word: &[GateId], assigns: &[(GateId, bool)]) -> u64 {
+    fn word_val(nl: &Netlist, word: &[GateId], assigns: &[(GateId, bool)]) -> u64 {
         let mut nl2 = nl.clone();
         for (i, &g) in word.iter().enumerate() {
             nl2.output(format!("w[{i}]"), g);
         }
-        let outs = eval(&mut nl2, assigns);
+        let outs = eval(&nl2, assigns);
         outs.iter()
             .enumerate()
             .fold(0u64, |acc, (i, (_, v))| acc | ((*v as u64) << i))
@@ -284,7 +284,7 @@ mod tests {
         for (x, y) in [(0u64, 0u64), (3, 5), (200, 100), (255, 1), (127, 128)] {
             let mut asg = assigns_for(&a, x);
             asg.extend(assigns_for(&b, y));
-            assert_eq!(word_val(&mut nl, &sum, &asg), (x + y) & 0xff, "{x}+{y}");
+            assert_eq!(word_val(&nl, &sum, &asg), (x + y) & 0xff, "{x}+{y}");
         }
     }
 
@@ -297,11 +297,7 @@ mod tests {
         for (x, y) in [(5u64, 3u64), (3, 5), (0, 1), (255, 255), (128, 1)] {
             let mut asg = assigns_for(&a, x);
             asg.extend(assigns_for(&b, y));
-            assert_eq!(
-                word_val(&mut nl, &d, &asg),
-                x.wrapping_sub(y) & 0xff,
-                "{x}-{y}"
-            );
+            assert_eq!(word_val(&nl, &d, &asg), x.wrapping_sub(y) & 0xff, "{x}-{y}");
         }
     }
 
@@ -314,7 +310,7 @@ mod tests {
         for (x, y) in [(0u64, 7u64), (3, 5), (15, 17), (255, 255), (12, 12)] {
             let mut asg = assigns_for(&a, x);
             asg.extend(assigns_for(&b, y));
-            assert_eq!(word_val(&mut nl, &p, &asg), (x * y) & 0xff, "{x}*{y}");
+            assert_eq!(word_val(&nl, &p, &asg), (x * y) & 0xff, "{x}*{y}");
         }
     }
 
@@ -330,9 +326,9 @@ mod tests {
         for (x, y) in [(0u64, 0u64), (1, 2), (2, 1), (63, 62), (31, 31)] {
             let mut asg = assigns_for(&a, x);
             asg.extend(assigns_for(&b, y));
-            assert_eq!(word_val(&mut nl, &[lt], &asg) == 1, x < y, "{x}<{y}");
-            assert_eq!(word_val(&mut nl, &[gt], &asg) == 1, x > y, "{x}>{y}");
-            assert_eq!(word_val(&mut nl, &[eq], &asg) == 1, x == y, "{x}=={y}");
+            assert_eq!(word_val(&nl, &[lt], &asg) == 1, x < y, "{x}<{y}");
+            assert_eq!(word_val(&nl, &[gt], &asg) == 1, x > y, "{x}>{y}");
+            assert_eq!(word_val(&nl, &[eq], &asg) == 1, x == y, "{x}=={y}");
         }
     }
 
@@ -344,8 +340,8 @@ mod tests {
         let l = wb.shl(&a);
         let r = wb.shr(&a);
         let asg = assigns_for(&a, 0b1011_0110);
-        assert_eq!(word_val(&mut nl, &l, &asg), 0b0110_1100);
-        assert_eq!(word_val(&mut nl, &r, &asg), 0b0101_1011);
+        assert_eq!(word_val(&nl, &l, &asg), 0b0110_1100);
+        assert_eq!(word_val(&nl, &r, &asg), 0b0101_1011);
     }
 
     #[test]
@@ -353,7 +349,7 @@ mod tests {
         let mut nl = Netlist::new();
         let mut wb = WordBuilder::new(&mut nl);
         let w = wb.const_word(0x5a, 8);
-        assert_eq!(word_val(&mut nl, &w, &[]), 0x5a);
+        assert_eq!(word_val(&nl, &w, &[]), 0x5a);
     }
 
     #[test]
@@ -366,10 +362,10 @@ mod tests {
         let mut asg = assigns_for(&a, 0b0011);
         asg.extend(assigns_for(&b, 0b1100));
         asg.push((s, false));
-        assert_eq!(word_val(&mut nl, &m, &asg), 0b0011);
+        assert_eq!(word_val(&nl, &m, &asg), 0b0011);
         let mut asg2 = assigns_for(&a, 0b0011);
         asg2.extend(assigns_for(&b, 0b1100));
         asg2.push((s, true));
-        assert_eq!(word_val(&mut nl, &m, &asg2), 0b1100);
+        assert_eq!(word_val(&nl, &m, &asg2), 0b1100);
     }
 }

@@ -4,7 +4,8 @@
 //! [`random_sequences`] draws every input sequence up front (the only
 //! place the phase consumes the seeded RNG), then each sequence's
 //! good-machine trace is recorded once and the pending fault list is
-//! sharded over scoped workers that share the immutable simulator
+//! sharded over scoped workers that share the read-only fault
+//! simulator and trace, each `detects` call with its own buffers
 //! ([`detect_partition`]). The detected *set* per sequence is
 //! independent of the sharding, and the pending set before sequence
 //! `s` depends only on sequences `< s` — so the phase's coverage

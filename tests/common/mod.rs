@@ -71,7 +71,7 @@ pub struct ProtocolSim {
 }
 
 impl ProtocolSim {
-    pub fn new(mut nl: Netlist) -> Self {
+    pub fn new(nl: Netlist) -> Self {
         let order = nl.topo_levels();
         let mut vals = vec![0u64; nl.num_gates()];
         for (i, g) in nl.gates().iter().enumerate() {

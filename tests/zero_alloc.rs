@@ -1,6 +1,8 @@
 //! Counting-allocator proof of the arena refactor's headline claim:
 //! once warmed up, a trial merge (apply → price → roll back) performs
-//! **zero heap allocations**.
+//! **zero heap allocations** — and of the gate-level kernel's: fault
+//! simulation and PODEM implication allocate nothing per gate, per
+//! cycle or per implication.
 //!
 //! Compiled only under the `count-allocs` feature — the test binary
 //! swaps in a byte/call-counting `#[global_allocator]`, which would
@@ -21,8 +23,16 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 
-use hlts_core::{trial_merge, DesignState, MergeKind, OrderStrategy};
+use hlts::atpg::{FaultSimulator, FaultUniverse, PiAssign, Podem, PodemOutcome};
+use hlts::etpn::Etpn;
+use hlts::netlist::{elaborate, Netlist};
+use hlts_core::{
+    trial_merge, DesignState, IntegratedSynthesizer, MergeKind, OrderStrategy, SynthesisParams,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Pass-through allocator that tallies every allocation of the calling
 /// thread. Per-thread counters keep the libtest harness threads (which
@@ -197,4 +207,65 @@ fn steady_state_trial_merge_allocates_zero_bytes() {
     );
     // Keep the trial results observable so the loop cannot be elided.
     assert!(state.validate().is_ok());
+}
+
+/// The ex benchmark synthesized with the paper defaults and elaborated
+/// at `bits`, with its schedule length.
+fn ex_netlist(bits: u32) -> (Netlist, usize) {
+    let r = IntegratedSynthesizer::new(SynthesisParams::paper_defaults(bits))
+        .run(&hlts_benchmarks::ex())
+        .expect("synthesis succeeds");
+    let etpn = Etpn::from_parts(&r.dfg, &r.schedule, &r.allocation).expect("etpn builds");
+    let nl = elaborate(&r.dfg, &r.schedule, &r.allocation, &etpn, bits).expect("elaborates");
+    (nl, r.schedule.num_steps())
+}
+
+/// Every `detects` call that simulates at all allocates the same
+/// number of times — its per-call buffers — whatever the netlist size
+/// and the sequence length: nothing per gate, nothing per cycle.
+#[test]
+fn fault_simulation_allocates_per_call_only() {
+    let mut per_call = BTreeSet::new();
+    for bits in [4, 16] {
+        let (nl, _) = ex_netlist(bits);
+        let universe = FaultUniverse::collapsed(&nl).sampled(100, 1);
+        let mut fs = FaultSimulator::new(nl.clone());
+        for cycles in [1, 20] {
+            let mut rng = StdRng::seed_from_u64(3);
+            let seq: Vec<PiAssign> = (0..cycles)
+                .map(|_| (0..nl.inputs().len()).map(|_| rng.gen()).collect())
+                .collect();
+            let trace = fs.good_trace(&seq);
+            for &f in universe.faults() {
+                // A fault never activated returns before simulating.
+                let (_, calls, _) = measured(|| fs.detects(&trace, &seq, f));
+                if calls > 0 {
+                    per_call.insert((calls, bits, cycles));
+                }
+            }
+        }
+    }
+    let counts: BTreeSet<u64> = per_call.iter().map(|&(c, _, _)| c).collect();
+    println!("allocations per simulating detects call: {counts:?}");
+    assert_eq!(counts.len(), 1, "per-call allocations vary: {per_call:?}");
+}
+
+/// A warmed PODEM call on a target that aborts allocates the same at
+/// backtrack limit 10 and 40: four times the decisions and
+/// implications cost no extra allocation.
+#[test]
+fn podem_implication_does_not_allocate() {
+    let (nl, steps) = ex_netlist(4);
+    let universe = FaultUniverse::collapsed(&nl).sampled(200, 1);
+    let target = universe.faults()[0];
+    let mut counts = Vec::new();
+    for limit in [10, 40] {
+        let mut podem = Podem::new(nl.clone(), steps + 3, limit);
+        assert_eq!(podem.generate_seeded(target, None), PodemOutcome::Aborted);
+        let (_, calls, outcome) = measured(|| podem.generate_seeded(target, None));
+        assert_eq!(outcome, PodemOutcome::Aborted);
+        counts.push(calls);
+    }
+    println!("allocations per warmed aborting PODEM call at limits 10 and 40: {counts:?}");
+    assert_eq!(counts[0], counts[1], "allocations grow with the backtrack limit");
 }
