@@ -32,16 +32,20 @@ if [ -n "$JSON_KEYS" ]; then
 fi
 
 echo "==> one gate evaluator: no netlist walk outside crates/atpg/src/tape.rs"
-# Clock cycles are simulated only by the compiled tape's step; a
-# levelization or a per-gate GateKind::eval in production code (the
-# line-count rule above) elsewhere is a second gate walker.
+# Gates are evaluated only on the compiled tape (its full step and its
+# event-driven propagate); a levelization, a per-gate GateKind::eval or
+# a GateKind::eval_with call in production code (the line-count rule
+# above) elsewhere is a second gate walker. gates.rs defines eval_with
+# and delegates eval to it.
 GATE_WALKS=$(find crates/*/src src -name '*.rs' -not -path 'crates/atpg/src/tape.rs' \
   -print0 | sort -z | xargs -0 awk '
   FNR == 1 { test = 0 }
   /^#\[cfg\(test\)\]/ { test = 1 }
-  !test && /topo_levels\(|\.kind\(\)\.eval\(/ && !/fn topo_levels\(/ { print FILENAME ":" FNR ": " $0 }')
+  !test && ((/topo_levels\(|\.kind\(\)\.eval\(/ && !/fn topo_levels\(/) ||
+    (/\.eval_with\(/ && FILENAME != "crates/netlist/src/gates.rs")) {
+    print FILENAME ":" FNR ": " $0 }')
 if [ -n "$GATE_WALKS" ]; then
-  echo "gate walk outside the tape (simulate through atpg's Tape::step):" >&2
+  echo "gate walk outside the tape (simulate on atpg's Tape: step or propagate):" >&2
   echo "$GATE_WALKS" >&2
   exit 1
 fi

@@ -2,7 +2,7 @@
 
 use hlts_netlist::Netlist;
 
-use crate::tape::Tape;
+use crate::tape::{Frame, Tape};
 use crate::Fault;
 
 /// One clock cycle's primary-input assignment: a 64-pattern word per
@@ -14,22 +14,47 @@ pub type PiAssign = Vec<u64>;
 pub struct GoodTrace {
     /// Cycle-major: the value of every net after settling.
     values: Vec<u64>,
-    /// Cycle-major: the flip-flop state *before* the cycle's clock edge.
-    states: Vec<u64>,
 }
 
 /// A serial-fault, 64-pattern-parallel fault simulator.
 ///
-/// For each fault the faulty machine is re-simulated with the fault
-/// injected, starting at the first cycle in which the fault site is
-/// activated (before activation the faulty machine coincides with the
-/// recorded good machine). A fault is *detected* when any primary
-/// output differs from the good machine in any pattern of any cycle.
-/// Flip-flops reset to 0.
+/// The faulty machine is simulated as a difference from the recorded
+/// good machine: a net that no fault effect reaches reads its good
+/// value from the trace, and only the gates with a fan-in that differs
+/// are re-evaluated. Each cycle's events start at two places — the
+/// fault site, in a cycle where some pattern activates it, and the
+/// flip-flops whose faulty state differs from the good state — so a
+/// cycle with neither evaluates no gate. A fault is *detected* when any
+/// primary output differs from the good machine in any pattern of any
+/// cycle. Flip-flops reset to 0.
 #[derive(Debug, Clone)]
 pub struct FaultSimulator {
     nl: Netlist,
     tape: Tape,
+}
+
+/// The faulty machine's values in one cycle: a net written this cycle
+/// (`stamp == epoch`) reads `vals`, every other net the good trace.
+struct Faulty<'a> {
+    good: &'a [u64],
+    vals: Vec<u64>,
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl Frame<u64> for Faulty<'_> {
+    fn get(&self, net: usize) -> u64 {
+        if self.stamp[net] == self.epoch {
+            self.vals[net]
+        } else {
+            self.good[net]
+        }
+    }
+
+    fn set(&mut self, net: usize, v: u64) {
+        self.vals[net] = v;
+        self.stamp[net] = self.epoch;
+    }
 }
 
 impl FaultSimulator {
@@ -53,13 +78,12 @@ impl FaultSimulator {
         let (n, dffs) = (self.tape.nets(), self.tape.num_dffs());
         let mut trace = GoodTrace {
             values: vec![0; seq.len() * n],
-            states: vec![0; seq.len() * dffs],
         };
         let (mut state, mut next) = (vec![0; dffs], vec![0; dffs]);
+        let fault_free = self.tape.inject(None, 0);
         for (c, pis) in seq.iter().enumerate() {
-            trace.states[c * dffs..(c + 1) * dffs].copy_from_slice(&state);
             let vals = &mut trace.values[c * n..(c + 1) * n];
-            self.tape.step(pis, &state, vals, &mut next, None, 0);
+            self.tape.step(pis, &state, vals, &mut next, &fault_free);
             std::mem::swap(&mut state, &mut next);
         }
         trace
@@ -71,25 +95,46 @@ impl FaultSimulator {
         let (n, dffs) = (self.tape.nets(), self.tape.num_dffs());
         let stuck = if fault.stuck { !0u64 } else { 0u64 };
         let site = self.tape.site_net(fault.site);
-        // First cycle in which the site carries a value different from
-        // the stuck value — before that the machines coincide.
-        let Some(first_active) = (0..seq.len()).find(|&c| trace.values[c * n + site] != stuck)
-        else {
+        let active = |c: usize| trace.values[c * n + site] != stuck;
+        // Before the first cycle that activates the site the machines
+        // coincide; a fault never activated costs no buffer.
+        let Some(first_active) = (0..seq.len()).find(|&c| active(c)) else {
             return false;
         };
-        let mut vals = vec![0u64; n];
-        let mut state = trace.states[first_active * dffs..(first_active + 1) * dffs].to_vec();
-        let mut next = vec![0u64; dffs];
-        for (c, pis) in seq.iter().enumerate().skip(first_active) {
-            self.tape
-                .step(pis, &state, &mut vals, &mut next, Some(fault), !0);
+        let inj = self.tape.inject(Some(fault), !0);
+        let mut faulty = Faulty {
+            good: &[],
+            vals: vec![0; n],
+            stamp: vec![0; n],
+            epoch: 0,
+        };
+        let mut dirty = self.tape.row_set();
+        // (flip-flop, faulty value) where the faulty state differs from
+        // the good one, entering this cycle and the next.
+        let mut state: Vec<(usize, u64)> = Vec::with_capacity(dffs);
+        let mut next: Vec<(usize, u64)> = Vec::with_capacity(dffs);
+        for c in first_active..seq.len() {
+            if state.is_empty() && !active(c) {
+                continue; // no event: the machines agree all cycle
+            }
             let good = &trace.values[c * n..(c + 1) * n];
-            if self
-                .tape
-                .outputs()
-                .iter()
-                .any(|&po| vals[po as usize] != good[po as usize])
-            {
+            faulty.good = good;
+            faulty.epoch = u32::try_from(c + 1).expect("sequence length fits in u32");
+            if active(c) {
+                self.tape.seed_fault(&mut faulty, &mut dirty, &inj);
+            }
+            for &(k, v) in &state {
+                let q = self.tape.q_net(k);
+                self.tape.load(&mut faulty, &mut dirty, q, v, &inj);
+            }
+            next.clear();
+            self.tape.propagate(&mut faulty, &mut dirty, &inj, |k, v| {
+                if v != good[self.tape.d_net(k)] {
+                    next.push((k, v));
+                }
+            });
+            let mut outputs = self.tape.outputs().iter().map(|&po| po as usize);
+            if outputs.any(|po| faulty.get(po) != good[po]) {
                 return true;
             }
             std::mem::swap(&mut state, &mut next);
@@ -120,8 +165,118 @@ impl FaultSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultSite, FaultUniverse};
+    use crate::testkit::{designs, faults_of_every_kind, one_hot_preset};
+    use crate::{FaultSite, FaultUniverse, Podem, PodemOutcome};
     use hlts_netlist::GateKind;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The full-step reference: the whole faulty machine stepped every
+    /// cycle from reset, its outputs compared with the trace. (Until the
+    /// first cycle that activates the site the machines agree, so this
+    /// is the verdict of stepping from that cycle on.)
+    fn full_step_detects(
+        fs: &FaultSimulator,
+        trace: &GoodTrace,
+        seq: &[PiAssign],
+        fault: Fault,
+    ) -> bool {
+        let (n, dffs) = (fs.tape.nets(), fs.tape.num_dffs());
+        let inj = fs.tape.inject(Some(fault), !0);
+        let mut vals = vec![0u64; n];
+        let mut state = vec![0u64; dffs];
+        let mut next = vec![0u64; dffs];
+        for (c, pis) in seq.iter().enumerate() {
+            fs.tape.step(pis, &state, &mut vals, &mut next, &inj);
+            let good = &trace.values[c * n..(c + 1) * n];
+            if fs
+                .tape
+                .outputs()
+                .iter()
+                .any(|&po| vals[po as usize] != good[po as usize])
+            {
+                return true;
+            }
+            std::mem::swap(&mut state, &mut next);
+        }
+        false
+    }
+
+    /// On every design, every fault of a sample (plus faults at all four
+    /// site kinds) gets the same verdict from the event-driven
+    /// `detects` as from a full step per cycle — over random sequences,
+    /// one-hot protocol sequences and PODEM-derived tests.
+    #[test]
+    fn detects_matches_full_step_simulation() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for d in designs() {
+            let nl = &d.nl;
+            let mut faults = FaultUniverse::collapsed(nl)
+                .sampled(120, 1)
+                .faults()
+                .to_vec();
+            faults.extend(faults_of_every_kind(nl, &mut rng, 8));
+            let cycles = 2 * d.steps + 4;
+            let protocol = one_hot_preset(nl, cycles);
+            let mut seqs: Vec<Vec<PiAssign>> = Vec::new();
+            for one_hot in [false, true] {
+                seqs.push(
+                    (0..cycles)
+                        .map(|c| {
+                            (0..nl.inputs().len())
+                                .map(|i| match protocol[c][i] {
+                                    Some(b) if one_hot => {
+                                        if b {
+                                            !0
+                                        } else {
+                                            0
+                                        }
+                                    }
+                                    _ => rng.gen(),
+                                })
+                                .collect()
+                        })
+                        .collect(),
+                );
+            }
+            let mut podem = Podem::new(nl.clone(), d.steps + 3, 20);
+            for &f in faults.iter().take(30) {
+                if let PodemOutcome::Test(t) = podem.generate(f) {
+                    let words =
+                        |frame: &Vec<bool>| frame.iter().map(|&b| if b { !0 } else { 0 }).collect();
+                    seqs.push(t.iter().map(words).collect());
+                }
+            }
+            let mut fs = FaultSimulator::new(nl.clone());
+            let mut verdicts = [0usize; 2];
+            for seq in &seqs {
+                let trace = fs.good_trace(seq);
+                for &f in &faults {
+                    let got = fs.detects(&trace, seq, f);
+                    let want = full_step_detects(&fs, &trace, seq, f);
+                    assert_eq!(
+                        got,
+                        want,
+                        "{}: {} over {} cycles",
+                        d.name,
+                        f.describe(),
+                        seq.len()
+                    );
+                    verdicts[usize::from(got)] += 1;
+                }
+            }
+            println!(
+                "{}: {} sequences, verdicts {verdicts:?}",
+                d.name,
+                seqs.len()
+            );
+            assert!(
+                verdicts[0] > 0 && verdicts[1] > 0,
+                "{}: {verdicts:?}",
+                d.name
+            );
+        }
+    }
 
     /// Combinational AND with both inputs driven: every collapsed fault
     /// is detectable by exhaustive patterns.

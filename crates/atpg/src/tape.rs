@@ -1,14 +1,26 @@
-//! The compiled netlist and its one clock-cycle step.
+//! The compiled netlist and its one gate-evaluation rule.
 //!
 //! A [`Tape`] lowers a [`Netlist`] once into flat arrays: the kind of
 //! every net, the fan-in of every combinational gate as CSR rows in
 //! level order (then one row per flip-flop holding its D net), the
+//! fanout of every net as a CSR list of the rows that read it, the
 //! primary-input and constant nets, and the primary outputs.
-//! [`Tape::step`] is the only place that simulates a clock cycle — it
-//! loads the sources, walks the rows, injects a stuck-at fault and
-//! latches the flip-flops — and it runs on any [`Logic`] word: the
-//! fault simulator steps two-valued `u64` words (64 patterns each),
-//! PODEM steps three-valued [`DualRail`] words.
+//!
+//! Two entry points simulate on it, both on any [`Logic`] word — the
+//! fault simulator runs two-valued `u64` words (64 patterns each),
+//! PODEM runs three-valued [`DualRail`] words:
+//!
+//! * [`Tape::step`] simulates one whole clock cycle: it loads the
+//!   sources, evaluates every row and latches the flip-flops;
+//! * [`Tape::propagate`] re-evaluates only the *dirty* rows of one
+//!   frame, in row (= level) order. A row whose value changes makes
+//!   its readers dirty, and an evaluated flip-flop row hands its D
+//!   value to the caller, which loads it into the next frame through
+//!   [`Tape::load`].
+//!
+//! Both evaluate a row through the same code and inject a stuck-at
+//! fault through the same [`Injection`], so the fault-forcing rules
+//! live here alone.
 
 use hlts_netlist::{GateKind, Logic, Netlist};
 
@@ -92,6 +104,77 @@ enum Site {
     D(usize),
 }
 
+/// A stuck-at fault placed on a tape (or none), forced in the lanes set
+/// in `lanes` and nowhere else: on a source net as it is loaded, on a
+/// gate output as it is evaluated, on an input pin as the gate reads
+/// it, on a D pin as it is latched.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Injection<L> {
+    site: Option<Site>,
+    stuck: bool,
+    lanes: L,
+}
+
+impl<L: Logic> Injection<L> {
+    /// `v` as it reads at `here`.
+    fn force(&self, here: Site, v: L) -> L {
+        match self.site {
+            Some(site) if site == here && self.stuck => v.or(self.lanes),
+            Some(site) if site == here => v.and(self.lanes.not()),
+            _ => v,
+        }
+    }
+}
+
+/// One frame's net values as [`Tape::propagate`] and [`Tape::load`]
+/// read and write them.
+pub(crate) trait Frame<L> {
+    /// The value of `net`.
+    fn get(&self, net: usize) -> L;
+    /// Change the value of `net` to `v` (never its current value).
+    fn set(&mut self, net: usize, v: L);
+}
+
+/// A set of tape rows, drained in row order: the rows of one frame
+/// that must be re-evaluated.
+#[derive(Debug, Clone)]
+pub(crate) struct RowSet {
+    words: Vec<u64>,
+    /// No word below this one has a bit set (`words.len()` when empty).
+    lo: usize,
+}
+
+impl RowSet {
+    fn insert(&mut self, r: usize) {
+        self.words[r / 64] |= 1 << (r % 64);
+        self.lo = self.lo.min(r / 64);
+    }
+
+    /// Whether no row is dirty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lo == self.words.len()
+    }
+
+    /// Empty the set.
+    pub(crate) fn clear(&mut self) {
+        self.words[self.lo..].fill(0);
+        self.lo = self.words.len();
+    }
+
+    /// Remove and return the lowest row.
+    fn pop_first(&mut self) -> Option<usize> {
+        while let Some(w) = self.words.get_mut(self.lo) {
+            if *w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                *w &= *w - 1;
+                return Some(self.lo * 64 + bit);
+            }
+            self.lo += 1;
+        }
+        None
+    }
+}
+
 /// A [`Netlist`] compiled for simulation.
 #[derive(Debug, Clone)]
 pub(crate) struct Tape {
@@ -109,6 +192,12 @@ pub(crate) struct Tape {
     comb: usize,
     /// Row of every net (`NO_ROW` for inputs and constants).
     row: Vec<u32>,
+    /// CSR offsets into `readers`, one per net plus the end.
+    reader_offsets: Vec<u32>,
+    /// The rows reading each net, ascending and once per row however
+    /// many of its pins read the net: the gates the net feeds, then the
+    /// flip-flops it feeds as D.
+    readers: Vec<u32>,
     /// Primary-input nets in input order.
     inputs: Vec<u32>,
     /// Primary-input index of every net (`NO_ROW` if not an input).
@@ -117,6 +206,8 @@ pub(crate) struct Tape {
     consts: Vec<(u32, bool)>,
     /// Primary-output nets in output order.
     outputs: Vec<u32>,
+    /// Whether each net is a primary output.
+    is_output: Vec<bool>,
 }
 
 fn id(i: usize) -> u32 {
@@ -140,10 +231,13 @@ impl Tape {
             fanin: Vec::new(),
             comb: levels.len(),
             row: vec![NO_ROW; n],
+            reader_offsets: Vec::new(),
+            readers: Vec::new(),
             inputs: nl.inputs().iter().map(|g| id(g.index())).collect(),
             pi_index: vec![NO_ROW; n],
             consts: Vec::new(),
             outputs: nl.outputs().iter().map(|(_, g)| id(g.index())).collect(),
+            is_output: vec![false; n],
         };
         for &g in levels.iter().chain(nl.dffs()) {
             let gate = nl.gate_at(g);
@@ -155,8 +249,30 @@ impl Tape {
                 .extend(gate.inputs().iter().map(|i| id(i.index())));
             tape.offsets.push(id(tape.fanin.len()));
         }
+        // Fanout CSR: every row is listed once under each distinct net
+        // it reads; rows are visited in order, so lists come out
+        // ascending.
+        let mut readers = vec![Vec::new(); n];
+        for r in 0..tape.out.len() {
+            let ins = tape.row_fanin(r);
+            for (pin, &net) in ins.iter().enumerate() {
+                if !ins[..pin].contains(&net) {
+                    readers[net as usize].push(id(r));
+                }
+            }
+        }
+        tape.reader_offsets = std::iter::once(0)
+            .chain(readers.iter().scan(0, |end, rows| {
+                *end += rows.len();
+                Some(id(*end))
+            }))
+            .collect();
+        tape.readers = readers.concat();
         for (i, &g) in tape.inputs.iter().enumerate() {
             tape.pi_index[g as usize] = id(i);
+        }
+        for &g in &tape.outputs {
+            tape.is_output[g as usize] = true;
         }
         for (i, &kind) in tape.kind.iter().enumerate() {
             if let GateKind::Const0 | GateKind::Const1 = kind {
@@ -186,6 +302,11 @@ impl Tape {
         &self.outputs
     }
 
+    /// Whether `net` is a primary output.
+    pub(crate) fn is_output(&self, net: usize) -> bool {
+        self.is_output[net]
+    }
+
     /// Kind of the gate driving `net`.
     pub(crate) fn kind(&self, net: usize) -> GateKind {
         self.kind[net]
@@ -194,6 +315,21 @@ impl Tape {
     /// Primary-input index of an input net.
     pub(crate) fn pi_index(&self, net: usize) -> usize {
         self.pi_index[net] as usize
+    }
+
+    /// Net of primary input `pi`.
+    pub(crate) fn input_net(&self, pi: usize) -> usize {
+        self.inputs[pi] as usize
+    }
+
+    /// Q net of flip-flop `k`.
+    pub(crate) fn q_net(&self, k: usize) -> usize {
+        self.out[self.comb + k] as usize
+    }
+
+    /// D net of flip-flop `k`.
+    pub(crate) fn d_net(&self, k: usize) -> usize {
+        self.row_fanin(self.comb + k)[0] as usize
     }
 
     /// Fan-in nets of `net` in pin order (a flip-flop's is its D net;
@@ -209,9 +345,43 @@ impl Tape {
         &self.fanin[self.offsets[r] as usize..self.offsets[r + 1] as usize]
     }
 
+    /// The gate on combinational row `r`, as (net, fan-in).
+    pub(crate) fn gate(&self, r: usize) -> (usize, &[u32]) {
+        (self.out[r] as usize, self.row_fanin(r))
+    }
+
     /// The combinational gates in level order, as (net, fan-in).
+    #[cfg(test)]
     pub(crate) fn gates(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
-        (0..self.comb).map(|r| (self.out[r] as usize, self.row_fanin(r)))
+        (0..self.comb).map(|r| self.gate(r))
+    }
+
+    /// Combinational row of `net`, if a gate drives it.
+    pub(crate) fn gate_row(&self, net: usize) -> Option<usize> {
+        let r = self.row[net] as usize;
+        (r < self.comb).then_some(r)
+    }
+
+    /// Combinational rows reading `net`, ascending.
+    pub(crate) fn gate_readers(&self, net: usize) -> impl Iterator<Item = usize> + '_ {
+        self.readers(net)
+            .iter()
+            .map(|&r| r as usize)
+            .take_while(|&r| r < self.comb)
+    }
+
+    fn readers(&self, net: usize) -> &[u32] {
+        let (lo, hi) = (self.reader_offsets[net], self.reader_offsets[net + 1]);
+        &self.readers[lo as usize..hi as usize]
+    }
+
+    /// An empty dirty-row set sized for this tape.
+    pub(crate) fn row_set(&self) -> RowSet {
+        let words = self.out.len().div_ceil(64);
+        RowSet {
+            words: vec![0; words],
+            lo: words,
+        }
     }
 
     /// The net whose good value a fault at `site` is activated by: the
@@ -220,6 +390,16 @@ impl Tape {
         match site {
             FaultSite::Output(g) => g.index(),
             FaultSite::Input(g, pin) => self.fanin(g.index())[usize::from(pin)] as usize,
+        }
+    }
+
+    /// `fault` (or no fault) placed on this tape, forced in the lanes
+    /// set in `lanes`.
+    pub(crate) fn inject<L>(&self, fault: Option<Fault>, lanes: L) -> Injection<L> {
+        Injection {
+            site: fault.map(|f| self.site(f.site)),
+            stuck: fault.is_some_and(|f| f.stuck),
+            lanes,
         }
     }
 
@@ -236,32 +416,42 @@ impl Tape {
         }
     }
 
+    /// The value of the gate on combinational row `r`, its fan-in read
+    /// through `val`, with the fault forced.
+    fn eval<L: Logic>(&self, r: usize, inj: &Injection<L>, val: impl Fn(usize) -> L) -> L {
+        let ins = self.row_fanin(r);
+        let kind = self.kind[self.out[r] as usize];
+        let v = match inj.site {
+            Some(Site::Pin(fr, _)) if fr == r => kind.eval_with(ins.len(), |i| {
+                inj.force(Site::Pin(r, i), val(ins[i] as usize))
+            }),
+            _ => kind.eval_with(ins.len(), |i| val(ins[i] as usize)),
+        };
+        inj.force(Site::Gate(r), v)
+    }
+
+    /// The value flip-flop `k` latches, its D net read through `val`,
+    /// with the fault forced.
+    fn latch<L: Logic>(&self, k: usize, inj: &Injection<L>, val: impl Fn(usize) -> L) -> L {
+        inj.force(Site::D(k), val(self.d_net(k)))
+    }
+
     /// One clock cycle.
     ///
     /// Loads the constants, the primary inputs `pis` (input order) and
     /// the flip-flop state `state` (creation order) onto their nets,
     /// evaluates every combinational gate into `vals` (one word per
-    /// net), and latches each flip-flop's D value into `next`. With a
-    /// `fault`, its stuck value is forced in the lanes set in `lanes`
-    /// and nowhere else — on a source net as it is loaded, on a gate
-    /// output as it is evaluated, on an input pin as the gate reads it,
-    /// on a D pin as it is latched.
+    /// net), and latches each flip-flop's D value into `next`, with the
+    /// fault of `inj` forced.
     pub(crate) fn step<L: Logic>(
         &self,
         pis: &[L],
         state: &[L],
         vals: &mut [L],
         next: &mut [L],
-        fault: Option<Fault>,
-        lanes: L,
+        inj: &Injection<L>,
     ) {
         debug_assert_eq!(pis.len(), self.inputs.len(), "one word per primary input");
-        let site = fault.map(|f| self.site(f.site));
-        let force = |here: Site, v: L| match fault {
-            Some(f) if site == Some(here) && f.stuck => v.or(lanes),
-            Some(_) if site == Some(here) => v.and(lanes.not()),
-            _ => v,
-        };
         for &(net, value) in &self.consts {
             vals[net as usize] = if value { L::ONE } else { L::ZERO };
         }
@@ -271,21 +461,88 @@ impl Tape {
         for (&net, &v) in self.out[self.comb..].iter().zip(state) {
             vals[net as usize] = v;
         }
-        if let Some(Site::Source(net)) = site {
-            vals[net] = force(Site::Source(net), vals[net]);
+        if let Some(Site::Source(net)) = inj.site {
+            vals[net] = inj.force(Site::Source(net), vals[net]);
         }
         for r in 0..self.comb {
-            let ins = self.row_fanin(r);
-            let net = self.out[r] as usize;
-            let v = match site {
-                Some(Site::Pin(fr, _)) if fr == r => self.kind[net]
-                    .eval_with(ins.len(), |i| force(Site::Pin(r, i), vals[ins[i] as usize])),
-                _ => self.kind[net].eval_with(ins.len(), |i| vals[ins[i] as usize]),
-            };
-            vals[net] = force(Site::Gate(r), v);
+            let v = self.eval(r, inj, |i| vals[i]);
+            vals[self.out[r] as usize] = v;
         }
         for (k, d) in next.iter_mut().enumerate() {
-            *d = force(Site::D(k), vals[self.row_fanin(self.comb + k)[0] as usize]);
+            *d = self.latch(k, inj, |i| vals[i]);
+        }
+    }
+
+    /// Re-evaluate the dirty rows of one frame, lowest row first, and
+    /// drain `dirty`. A gate whose value changes is written to `vals`
+    /// and makes its readers dirty; an evaluated flip-flop row passes
+    /// (flip-flop, latched value) to `latch`. Rows are in level order
+    /// and a reader's row is always above its driver's, so every row is
+    /// evaluated at most once, after all its dirty fan-in.
+    pub(crate) fn propagate<L: Logic + PartialEq>(
+        &self,
+        vals: &mut impl Frame<L>,
+        dirty: &mut RowSet,
+        inj: &Injection<L>,
+        mut latch: impl FnMut(usize, L),
+    ) {
+        while let Some(r) = dirty.pop_first() {
+            if r < self.comb {
+                let net = self.out[r] as usize;
+                let v = self.eval(r, inj, |i| vals.get(i));
+                if v != vals.get(net) {
+                    vals.set(net, v);
+                    self.touch(net, dirty);
+                }
+            } else {
+                let k = r - self.comb;
+                latch(k, self.latch(k, inj, |i| vals.get(i)));
+            }
+        }
+    }
+
+    /// Load source `net` (a primary input, constant or flip-flop Q)
+    /// with `v`, the fault forced; if its value changes, its readers
+    /// become dirty.
+    pub(crate) fn load<L: Logic + PartialEq>(
+        &self,
+        vals: &mut impl Frame<L>,
+        dirty: &mut RowSet,
+        net: usize,
+        v: L,
+        inj: &Injection<L>,
+    ) {
+        let v = inj.force(Site::Source(net), v);
+        if v != vals.get(net) {
+            vals.set(net, v);
+            self.touch(net, dirty);
+        }
+    }
+
+    /// Start the fault's own event in a frame that holds the fault-free
+    /// values: reload a faulty source, or make the row of a faulty gate
+    /// output, input pin or D pin dirty.
+    pub(crate) fn seed_fault<L: Logic + PartialEq>(
+        &self,
+        vals: &mut impl Frame<L>,
+        dirty: &mut RowSet,
+        inj: &Injection<L>,
+    ) {
+        match inj.site {
+            Some(Site::Source(net)) => {
+                let v = vals.get(net);
+                self.load(vals, dirty, net, v, inj);
+            }
+            Some(Site::Gate(r) | Site::Pin(r, _)) => dirty.insert(r),
+            Some(Site::D(k)) => dirty.insert(self.comb + k),
+            None => {}
+        }
+    }
+
+    /// Make every reader of `net` dirty.
+    fn touch(&self, net: usize, dirty: &mut RowSet) {
+        for &r in self.readers(net) {
+            dirty.insert(r as usize);
         }
     }
 }
@@ -448,7 +705,7 @@ mod tests {
         let (mut state, mut next) = (vec![0u64], vec![0u64]);
         // pattern 0 toggles every cycle, pattern 1 holds
         for expect in [0b00, 0b01, 0b00] {
-            tape.step(&[0b01], &state, &mut vals, &mut next, None, 0);
+            tape.step(&[0b01], &state, &mut vals, &mut next, &tape.inject(None, 0));
             assert_eq!(vals[tape.outputs()[0] as usize] & 0b11, expect);
             std::mem::swap(&mut state, &mut next);
         }
@@ -496,8 +753,7 @@ mod tests {
                 &[DualRail::ZERO],
                 &mut vals,
                 &mut next,
-                Some(fault),
-                lanes,
+                &tape.inject(Some(fault), lanes),
             );
             let v = if net == usize::MAX {
                 next[0]

@@ -581,6 +581,8 @@ fn run_obj(result: &SynthesisResult, coverage: Option<&CoverageReport>) -> Obj {
 
 /// One coverage report (`hlts run --atpg --json` prints it as `"atpg"`):
 /// `faults_graded` vs `total_collapsed` tells a sample from a full grade.
+/// It carries every field of [`CoverageReport::signature`], plus
+/// `effort`.
 #[must_use]
 pub fn coverage_obj(r: &CoverageReport) -> Obj {
     Obj::new().with("gates", r.gates).with("coverage", r.coverage())
@@ -590,6 +592,7 @@ pub fn coverage_obj(r: &CoverageReport) -> Obj {
         .with("detected_deterministic", r.detected_deterministic)
         .with("untestable", r.untestable).with("aborted", r.aborted)
         .with("test_cycles", r.test_cycles).with("random_patterns", r.random_patterns)
+        .with("backtracks", r.backtracks).with("effort", r.effort())
 }
 
 /// [`coverage_obj`] on one line.
@@ -663,6 +666,49 @@ pub fn render_event(job: JobId, event: &JobEvent<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `coverage` object carries every field of the report's
+    /// signature: rebuilding the signature from the parsed JSON gives
+    /// the report's own, and `effort` matches the report's.
+    #[test]
+    fn coverage_object_rebuilds_the_signature() {
+        let report = CoverageReport {
+            gates: 758,
+            faults_graded: 2000,
+            total_collapsed: 3781,
+            total_uncollapsed: 4424,
+            detected_random: 1953,
+            detected_deterministic: 3,
+            untestable: 5,
+            aborted: 39,
+            test_cycles: 30,
+            backtracks: 4346,
+            random_patterns: 15360,
+            stats: hlts_tcov::GradeStats::default(),
+        };
+        let doc = json::parse(&coverage_json(&report)).expect("valid JSON");
+        let int = |key: &str| doc.get(key).and_then(Json::as_u64).expect(key);
+        let float = |key: &str| doc.get(key).and_then(Json::as_f64).expect(key);
+        let rebuilt = format!(
+            "gates={} graded={} collapsed={} uncollapsed={} rand={} det={} untest={} \
+             abort={} cycles={} backtracks={} patterns={} cov={:?} eff={:?}",
+            int("gates"),
+            int("faults_graded"),
+            int("total_collapsed"),
+            int("total_uncollapsed"),
+            int("detected_random"),
+            int("detected_deterministic"),
+            int("untestable"),
+            int("aborted"),
+            int("test_cycles"),
+            int("backtracks"),
+            int("random_patterns"),
+            float("coverage"),
+            float("efficiency"),
+        );
+        assert_eq!(rebuilt, report.signature());
+        assert_eq!(float("effort").to_bits(), report.effort().to_bits());
+    }
 
     #[test]
     fn parses_run_submit_with_defaults() {

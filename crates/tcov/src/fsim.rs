@@ -6,11 +6,13 @@
 //! good-machine trace is recorded once and the pending fault list is
 //! sharded over scoped workers that share the read-only fault
 //! simulator and trace, each `detects` call with its own buffers
-//! ([`detect_partition`]). The detected *set* per sequence is
-//! independent of the sharding, and the pending set before sequence
-//! `s` depends only on sequences `< s` — so the phase's coverage
-//! bitmap, per-fault first-detecting sequence and test-cycle count are
-//! bit-identical to the serial-fault path at any worker count.
+//! ([`detect_partition`]); a call evaluates only the gates its fault's
+//! difference from the recorded good machine reaches. The detected
+//! *set* per sequence is independent of the sharding, and the pending
+//! set before sequence `s` depends only on sequences `< s` — so the
+//! phase's coverage bitmap, per-fault first-detecting sequence and
+//! test-cycle count are bit-identical to the serial-fault path at any
+//! worker count.
 
 use hlts_atpg::{AtpgConfig, Fault, FaultSimulator, GoodTrace, PiAssign};
 use hlts_core::CancelToken;

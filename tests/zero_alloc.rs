@@ -25,9 +25,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 
-use hlts::atpg::{FaultSimulator, FaultUniverse, PiAssign, Podem, PodemOutcome};
+use hlts::atpg::{Fault, FaultSimulator, FaultSite, FaultUniverse, PiAssign, Podem, PodemOutcome};
 use hlts::etpn::Etpn;
-use hlts::netlist::{elaborate, Netlist};
+use hlts::netlist::{elaborate, GateKind, Netlist};
 use hlts_core::{
     trial_merge, DesignState, IntegratedSynthesizer, MergeKind, OrderStrategy, SynthesisParams,
 };
@@ -248,6 +248,54 @@ fn fault_simulation_allocates_per_call_only() {
     let counts: BTreeSet<u64> = per_call.iter().map(|&(c, _, _)| c).collect();
     println!("allocations per simulating detects call: {counts:?}");
     assert_eq!(counts.len(), 1, "per-call allocations vary: {per_call:?}");
+}
+
+/// A simulating `detects` call allocates the same whether the fault's
+/// difference dies out in its first cycle or still travels at cycle 20:
+/// the event buffers are sized once per call, never grown per event.
+#[test]
+fn fault_simulation_allocations_do_not_grow_with_propagation() {
+    // a -> 20 flip-flops in a row -> output o; and(b, c) -> output x
+    let mut nl = Netlist::new();
+    let (a, b, c) = (nl.input("a"), nl.input("b"), nl.input("c"));
+    let mut prev = a;
+    for i in 0..20 {
+        let q = nl.dff(format!("q{i}"));
+        nl.connect_dff(q, prev);
+        prev = q;
+    }
+    nl.output("o", prev);
+    let x = nl.gate(GateKind::And, &[b, c]);
+    nl.output("x", x);
+    // a and b rise in cycle 0 only; c stays 0, so b's difference dies
+    // at the and gate while a's walks the flip-flops to o at cycle 20
+    let seq: Vec<PiAssign> = (0..21)
+        .map(|cycle| {
+            if cycle == 0 {
+                vec![!0, !0, 0]
+            } else {
+                vec![0; 3]
+            }
+        })
+        .collect();
+    let mut fs = FaultSimulator::new(nl);
+    let trace = fs.good_trace(&seq);
+    let stuck_at_0 = |g| Fault {
+        site: FaultSite::Output(g),
+        stuck: false,
+    };
+    let (masked, travelling) = (stuck_at_0(b), stuck_at_0(a));
+    let short = &seq[..20];
+    let short_trace = fs.good_trace(short);
+    assert!(
+        !fs.detects(&short_trace, short, travelling),
+        "still in flight at cycle 19"
+    );
+    let (_, dies, masked_hit) = measured(|| fs.detects(&trace, &seq, masked));
+    let (_, travels, travelling_hit) = measured(|| fs.detects(&trace, &seq, travelling));
+    assert!(!masked_hit && travelling_hit);
+    println!("allocations per detects call: {dies} (dies out), {travels} (travels 20 cycles)");
+    assert_eq!(dies, travels, "allocations grow with propagation");
 }
 
 /// A warmed PODEM call on a target that aborts allocates the same at
